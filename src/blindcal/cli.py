@@ -1,9 +1,14 @@
 """Command-line front end.
 
 Subcommands: ``solve``, ``phase-transition``, ``demo-image``, ``rate-compare``,
-``check-concentration``, ``init-study``. Exit codes: 0 on success, 1 on a
-usage or configuration error, 2 on a runtime error. Every run is
-deterministic given its flags; all randomness derives from --seed.
+``check-concentration``, ``init-study``. Every run is deterministic given
+its flags; all randomness derives from --seed.
+
+Exit codes: 0 on success; 1 on a usage or configuration error, which is a
+bad flag or config file, or a ParameterError or DimensionError raised by the
+library while it checks the values it is given; 2 on a runtime error, which
+is any other library error (unreadable or malformed input files, divergence,
+singular systems) or an operating-system error.
 
 Options may also come from a JSON config file (--config) whose keys match
 the flag names with dashes replaced by underscores; explicit flags override
@@ -20,9 +25,7 @@ import sys
 import numpy as np
 
 from . import experiments, fileio, solver
-from .errors import BlindcalError
-from .model import GroundTruth, generate_ensemble, sense
-from .seeding import derive_seed
+from .errors import BlindcalError, DimensionError, ParameterError
 
 
 class UsageError(Exception):
@@ -73,18 +76,6 @@ def _merge_config(values: dict, config_path, defaults: dict) -> dict:
     return merged
 
 
-def _require(condition: bool, message: str):
-    if not condition:
-        raise UsageError(message)
-
-
-def _check_common(a: dict):
-    _require(a["n"] >= 1 and a["m"] >= 1, "n and m must be positive integers")
-    _require(0.0 <= a["rho"] < 1.0, "rho must lie in [0, 1)")
-    _require(a["tol"] > 0.0, "tol must be positive")
-    _require(a["max_iterations"] >= 1, "max-iterations must be at least 1")
-
-
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -96,29 +87,23 @@ _SOLVE_DEFAULTS = dict(n=64, m=16, p=64, rho=0.05, seed=0, tol=1e-7,
 
 
 def _cmd_solve(a: dict) -> int:
-    _check_common(a)
-    _require(a["p"] >= 1, "p must be a positive integer")
+    if bool(a["x_file"]) != bool(a["d_file"]):
+        raise UsageError("provide both --x-file and --d-file")
     out = _output_dir(a)
-
-    if a["x_file"] or a["d_file"]:
-        _require(a["x_file"] and a["d_file"], "provide both --x-file and --d-file")
-        x = fileio.read_vector_file(a["x_file"])
-        d = fileio.read_vector_file(a["d_file"])
-        truth = GroundTruth(x=x, d=d, rho=a["rho"])
-        ensemble = generate_ensemble(x.size, d.size, a["p"], a["distribution"],
-                                     derive_seed(a["seed"], [("ensemble", 0)]))
-        y = sense(ensemble, x, d)
-        inst = experiments.Instance(truth=truth, ensemble=ensemble, y=y)
-    else:
-        inst = experiments.draw_instance(a["n"], a["m"], a["p"], a["rho"],
-                                         a["seed"], a["distribution"])
-
     mode = solver.LINE_SEARCH if a["step_mode"] == "line-search" else solver.FIXED
     config = solver.SolverConfig(
         step_mode=mode, mu=a["mu"] if mode == solver.FIXED else None,
         rho=a["rho"], objective_tolerance=a["tol"],
         max_iterations=a["max_iterations"],
         apply_C_rho_projection=not a["no_projection"])
+
+    if a["x_file"]:
+        inst = experiments.build_instance(
+            fileio.read_vector_file(a["x_file"]), fileio.read_vector_file(a["d_file"]),
+            a["rho"], a["p"], a["seed"], a["distribution"])
+    else:
+        inst = experiments.draw_instance(a["n"], a["m"], a["p"], a["rho"],
+                                         a["seed"], a["distribution"])
     result = solver.solve(inst.ensemble, inst.y, config, truth=inst.truth)
 
     write_vec = fileio.write_vector_csv if a["fmt"] == "csv" else fileio.write_array_binary
@@ -153,28 +138,19 @@ def _cmd_phase_transition(a: dict) -> int:
     if a["full_scale"]:
         a = dict(a, n=256, m=64, p_values="4,8,16,32,64,128,256,512,1024",
                  rho_values="1e-3,1e-2,1e-1,0.3,0.6,0.99", max_iterations=20_000)
-    p_values = _parse_values(a["p_values"], int)
-    rho_values = _parse_values(a["rho_values"], float)
-    _require(len(p_values) > 0 and len(rho_values) > 0,
-             "p-values and rho-values must be non-empty")
-    _require(all(p >= 1 for p in p_values), "p values must be positive")
-    _require(all(0.0 <= r < 1.0 for r in rho_values), "rho values must lie in [0, 1)")
-    _require(a["trials"] >= 1, "trials must be at least 1")
-    _require(a["zeta_db"] < 0.0, "zeta-db must be negative")
-    _require(a["workers"] >= 1, "workers must be at least 1")
     out = _output_dir(a)
-
     spec = experiments.PhaseGridSpec(
-        n=a["n"], m=a["m"], p_values=p_values, rho_values=rho_values,
+        n=a["n"], m=a["m"], p_values=_parse_values(a["p_values"], int),
+        rho_values=_parse_values(a["rho_values"], float),
         trials_per_cell=a["trials"], zeta_db=a["zeta_db"], base_seed=a["seed"],
         tolerance=a["tol"], max_iterations=a["max_iterations"])
     result = experiments.run_phase_transition(spec, workers=a["workers"])
     path = os.path.join(out, "phase_grid.csv")
     fileio.write_grid_csv(path, result)
     print(f"phase-transition: wrote {path}")
-    for ip, p in enumerate(p_values):
+    for ip, p in enumerate(spec.p_values):
         cells = " ".join(f"{result.success_probability[ip, ir]:.2f}"
-                         for ir in range(len(rho_values)))
+                         for ir in range(len(spec.rho_values)))
         print(f"  p={p:>5d}: {cells}")
     return 0
 
@@ -187,20 +163,24 @@ _DEMO_DEFAULTS = dict(input=None, m=64, p=None, rho=0.99, seed=0, tol=1e-6,
                       max_iterations=100_000, out=None)
 
 
+def _write_test_scene(path, side=32, seed=707):
+    """Write a seeded grayscale test scene: a smooth pattern plus noise."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 1.0, side)
+    field = (0.5 + 0.25 * np.outer(np.sin(2 * np.pi * t), np.cos(3 * np.pi * t))
+             + 0.15 * rng.standard_normal((side, side)))
+    fileio.write_image(path, np.clip(field, 0.0, 1.0)[None, :, :])
+
+
 def _cmd_demo_image(a: dict) -> int:
-    _require(a["input"] is not None, "demo-image requires --input")
-    _require(a["m"] >= 1, "m must be a positive integer")
-    _require(0.0 <= a["rho"] < 1.0, "rho must lie in [0, 1)")
-    _require(a["tol"] > 0.0, "tol must be positive")
     out = _output_dir(a)
-    p = a["p"]
-    if p is None:
-        image = fileio.read_image(a["input"])
-        n = image.shape[1] * image.shape[2]
-        p = max(1, int(round(2 * n / a["m"])))  # mp = 2n default
-    _require(p >= 1, "p must be a positive integer")
+    image_path = a["input"]
+    if image_path is None:
+        image_path = os.path.join(out, "scene.pgm")
+        _write_test_scene(image_path)
+        print(f"demo-image: wrote the test scene {image_path}")
     report = experiments.run_imaging_demo(
-        a["input"], m=a["m"], p=p, rho=a["rho"], seed=a["seed"], tol=a["tol"],
+        image_path, m=a["m"], p=a["p"], rho=a["rho"], seed=a["seed"], tol=a["tol"],
         max_iterations=a["max_iterations"], out_dir=out)
     print(f"demo-image: blind error = {report.error_db:.2f} dB, "
           f"LS baseline = {report.ls_error_db:.2f} dB "
@@ -217,9 +197,6 @@ _RATE_DEFAULTS = dict(n=64, m=16, p=64, rho=0.5, seed=0, tol=1e-7, mu=1e-4,
 
 
 def _cmd_rate_compare(a: dict) -> int:
-    _check_common(a)
-    _require(a["p"] >= 1, "p must be a positive integer")
-    _require(a["mu"] > 0.0, "mu must be positive")
     out = _output_dir(a)
     spec = experiments.RateComparisonSpec(
         n=a["n"], m=a["m"], p=a["p"], rho=a["rho"], seed=a["seed"],
@@ -250,18 +227,10 @@ _CONC_DEFAULTS = dict(n=32, m=16, p=100, theta="ones", trials=20,
 
 
 def _cmd_check_concentration(a: dict) -> int:
-    _require(a["n"] >= 1 and a["m"] >= 1 and a["p"] >= 1,
-             "n, m, p must be positive integers")
-    _require(a["trials"] >= 1, "trials must be at least 1")
     out = _output_dir(a)
-    if a["theta"] == "ones":
-        theta = np.ones(a["m"])
-    elif a["theta"] == "e1":
-        theta = np.zeros(a["m"])
-        theta[0] = 1.0
-    else:
-        theta = np.asarray(_parse_values(a["theta"], float))
-        _require(theta.size == a["m"], f"theta must have {a['m']} entries")
+    theta = a["theta"]
+    if isinstance(theta, str) and theta not in experiments.NAMED_WEIGHTS:
+        theta = _parse_values(theta, float)
     stats = experiments.check_concentration(
         a["n"], a["m"], a["p"], a["distribution"], theta, a["trials"], a["seed"])
     fileio.write_report_json(os.path.join(out, "concentration.json"), {
@@ -282,15 +251,10 @@ _INIT_DEFAULTS = dict(n=32, m=16, p_values="16,32,64,128,256,512,1024",
 
 
 def _cmd_init_study(a: dict) -> int:
-    _require(a["n"] >= 1 and a["m"] >= 1, "n and m must be positive integers")
-    _require(0.0 <= a["rho"] < 1.0, "rho must lie in [0, 1)")
-    _require(a["trials"] >= 1, "trials must be at least 1")
-    p_values = _parse_values(a["p_values"], int)
-    _require(all(p >= 1 for p in p_values), "p values must be positive")
     out = _output_dir(a)
     result = experiments.run_init_study(
-        n=a["n"], m=a["m"], p_values=p_values, trials=a["trials"],
-        rho=a["rho"], base_seed=a["seed"])
+        n=a["n"], m=a["m"], p_values=_parse_values(a["p_values"], int),
+        trials=a["trials"], rho=a["rho"], base_seed=a["seed"])
     path = os.path.join(out, "init_study.csv")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("mp,mean_relative_error\n")
@@ -304,23 +268,16 @@ def _cmd_init_study(a: dict) -> int:
 # parser assembly and dispatch
 # ---------------------------------------------------------------------------
 
+_COMMON_FLAGS = dict(
+    n=dict(type=int), m=dict(type=int), p=dict(type=int), rho=dict(type=float),
+    seed=dict(type=int), tol=dict(type=float), trials=dict(type=int),
+    max_iterations=dict(type=int), out=dict(help="output directory"),
+    distribution=dict(choices=["gaussian", "rademacher"]), mu=dict(type=float))
+
+
 def _add_common(sub, *names):
-    flags = {
-        "n": lambda: sub.add_argument("--n", type=int),
-        "m": lambda: sub.add_argument("--m", type=int),
-        "p": lambda: sub.add_argument("--p", type=int),
-        "rho": lambda: sub.add_argument("--rho", type=float),
-        "seed": lambda: sub.add_argument("--seed", type=int),
-        "tol": lambda: sub.add_argument("--tol", type=float),
-        "trials": lambda: sub.add_argument("--trials", type=int),
-        "max_iterations": lambda: sub.add_argument("--max-iterations", type=int),
-        "out": lambda: sub.add_argument("--out", help="output directory"),
-        "distribution": lambda: sub.add_argument(
-            "--distribution", choices=["gaussian", "rademacher"]),
-        "mu": lambda: sub.add_argument("--mu", type=float),
-    }
     for name in names:
-        flags[name]()
+        sub.add_argument("--" + name.replace("_", "-"), **_COMMON_FLAGS[name])
     sub.add_argument("--config", help="JSON file with option values")
 
 
@@ -352,7 +309,8 @@ def build_parser() -> _Parser:
 
     sp = subs.add_parser("demo-image", help="blind calibration of an imaging system")
     _add_common(sp, "m", "p", "rho", "seed", "tol", "max_iterations", "out")
-    sp.add_argument("--input", help="P5/P6 netpbm image path")
+    sp.add_argument("--input", help="P5/P6 netpbm image path "
+                                    "(default: a seeded 32x32 test scene)")
 
     sp = subs.add_parser("rate-compare", help="line-search vs fixed-step run")
     _add_common(sp, "n", "m", "p", "rho", "seed", "tol", "max_iterations", "out", "mu")
@@ -388,7 +346,7 @@ def dispatch(argv=None) -> int:
         values = vars(args)
         merged = _merge_config(values, values.get("config"), defaults)
         return handler(merged)
-    except UsageError as exc:
+    except (UsageError, ParameterError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help

@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import fileio
-from .errors import BlindcalError, DimensionError, SingularityError
+from .errors import BlindcalError, DimensionError, ParameterError, SingularityError
 from .geometry import draw_gain_perturbation
-from .model import (GroundTruth, generate_ensemble, ensemble_dims,
-                    iter_snapshot_matrices, sense)
+from .model import GroundTruth, SensingEnsemble, generate_ensemble, sense
 from .objective import adjoint, forward
 from .seeding import derive_seed
-from .solver import (FIXED, LINE_SEARCH, SolveResult, SolverConfig, solve)
+from .solver import (FIXED, LINE_SEARCH, SolveResult, SolverConfig, initialise, solve)
 
 
 def to_db(ratio: float) -> float:
@@ -32,13 +31,26 @@ def to_db(ratio: float) -> float:
     return 20.0 * float(np.log10(ratio))
 
 
+def _relative_error(v, ref) -> float:
+    return float(np.linalg.norm(v - ref) / np.linalg.norm(ref))
+
+
 def recovery_error(x_hat, d_hat, truth: GroundTruth) -> float:
     """max of the two relative l2 errors against the canonical (x*, d*)."""
-    xs = truth.x_star
-    ds = truth.d_star
-    ex = float(np.linalg.norm(x_hat - xs) / np.linalg.norm(xs))
-    ed = float(np.linalg.norm(d_hat - ds) / np.linalg.norm(ds))
-    return max(ex, ed)
+    return max(_relative_error(x_hat, truth.x_star), _relative_error(d_hat, truth.d_star))
+
+
+def _check_signal_size(n: int):
+    if n < 1:
+        raise DimensionError(f"n must be a positive integer, got {n}")
+
+
+def draw_gains(m: int, rho: float, seed: int) -> np.ndarray:
+    """Gains on the zero-sum l-infinity sphere of radius rho, drawn from
+    ``derive_seed(seed, [("gains", 0)])``; identity gains when rho = 0."""
+    if rho == 0.0:
+        return np.ones(m)
+    return draw_gain_perturbation(m, rho, derive_seed(seed, [("gains", 0)]))
 
 
 def draw_signal_ball(n: int, seed: int) -> np.ndarray:
@@ -47,6 +59,7 @@ def draw_signal_ball(n: int, seed: int) -> np.ndarray:
     Gaussian direction scaled by radius U^(1/n); this is the natural reading
     of "x in the unit ball" when no distribution is stated.
     """
+    _check_signal_size(n)
     rng = np.random.default_rng(seed)
     while True:
         g = rng.standard_normal(n)
@@ -63,6 +76,7 @@ def draw_smooth_signal(n: int, seed: int, modes: int = 8) -> np.ndarray:
     grows like sqrt(n), matching pixel-valued imagery rather than unit-ball
     draws.
     """
+    _check_signal_size(n)
     rng = np.random.default_rng(seed)
     t = np.arange(n) / n
     x = np.zeros(n)
@@ -77,23 +91,26 @@ def draw_smooth_signal(n: int, seed: int, modes: int = 8) -> np.ndarray:
 @dataclass
 class Instance:
     truth: GroundTruth
-    ensemble: object
+    ensemble: SensingEnsemble
     y: np.ndarray
+
+
+def build_instance(x, d, rho: float, p: int, seed: int,
+                   distribution: str = "gaussian") -> Instance:
+    """The instance sensing (x, d) through p snapshots of an ensemble drawn
+    from ``derive_seed(seed, [("ensemble", 0)])``."""
+    truth = GroundTruth(x=x, d=d, rho=rho)
+    ensemble = generate_ensemble(truth.n, truth.m, p, distribution,
+                                 derive_seed(seed, [("ensemble", 0)]))
+    return Instance(truth=truth, ensemble=ensemble, y=sense(ensemble, truth.x, truth.d))
 
 
 def draw_instance(n: int, m: int, p: int, rho: float, seed: int,
                   distribution: str = "gaussian") -> Instance:
-    """Seeded random problem instance: signal in the unit ball, gains on the
-    zero-sum l-infinity sphere of radius rho (identity gains when rho = 0)."""
+    """Seeded random problem instance: signal in the unit ball, gains from
+    :func:`draw_gains`."""
     x = draw_signal_ball(n, derive_seed(seed, [("signal", 0)]))
-    if rho == 0.0:
-        d = np.ones(m)
-    else:
-        d = draw_gain_perturbation(m, rho, derive_seed(seed, [("gains", 0)]))
-    truth = GroundTruth(x=x, d=d, rho=rho)
-    ensemble = generate_ensemble(n, m, p, distribution,
-                                 derive_seed(seed, [("ensemble", 0)]))
-    return Instance(truth=truth, ensemble=ensemble, y=sense(ensemble, x, d))
+    return build_instance(x, draw_gains(m, rho, seed), rho, p, seed, distribution)
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +130,16 @@ class PhaseGridSpec:
     max_iterations: int = 3000
 
     def __post_init__(self):
+        if not self.p_values or not self.rho_values:
+            raise ParameterError("p_values and rho_values must be non-empty")
+        if any(p < 1 for p in self.p_values):
+            raise DimensionError(f"p values must be positive, got {self.p_values}")
+        if any(not 0.0 <= rho < 1.0 for rho in self.rho_values):
+            raise ParameterError(f"rho values must lie in [0, 1), got {self.rho_values}")
         if self.trials_per_cell < 1:
-            raise BlindcalError("trials_per_cell must be at least 1")
+            raise ParameterError("trials_per_cell must be at least 1")
         if self.zeta_db >= 0.0:
-            raise BlindcalError("zeta_db must be negative")
+            raise ParameterError("zeta_db must be negative")
 
 
 @dataclass
@@ -164,6 +187,8 @@ def run_phase_transition(spec: PhaseGridSpec, workers: int = 1) -> PhaseGridResu
     Success means the max relative error of (x_hat, d_hat) against the
     canonical truth falls below 10^(zeta_db / 20) after a line-search solve.
     """
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
     tasks = []
     for ip in range(len(spec.p_values)):
         for ir in range(len(spec.rho_values)):
@@ -196,19 +221,15 @@ def least_squares_baseline(ensemble, y, rtol: float = 1e-10,
     A_l^T y_l, matrix free, down to relative residual rtol. Underdetermined
     systems (mp < n) and residual stagnation raise SingularityError.
     """
-    n, m, p = ensemble_dims(ensemble)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (p, m):
-        raise DimensionError(f"snapshots must have shape ({p}, {m}), got {y.shape}")
+    n, m, p = ensemble.n, ensemble.m, ensemble.p
+    scale = 1.0 / (m * p)
+    b = scale * adjoint(ensemble, y)  # adjoint checks the shape of y
     if m * p < n:
         raise SingularityError(f"normal equations underdetermined: mp = {m * p} < n = {n}")
-
-    scale = 1.0 / (m * p)
 
     def apply(v):
         return scale * adjoint(ensemble, forward(ensemble, v))
 
-    b = scale * adjoint(ensemble, y)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros(n)
@@ -279,39 +300,32 @@ class DemoReport:
             "ls_error_db": self.ls_error_db,
             "iterations": self.iterations,
             "stop_reason": self.stop_reason,
-            "channels": [
-                {
-                    "signal_error_db": c.signal_error_db,
-                    "gain_error_db": c.gain_error_db,
-                    "ls_error_db": c.ls_error_db,
-                    "iterations": c.iterations,
-                    "stop_reason": c.stop_reason,
-                }
-                for c in self.channels
-            ],
+            "channels": [asdict(c) for c in self.channels],
         }
 
 
-def run_imaging_demo(image_path, m: int, p: int, rho: float, seed: int = 0,
+def run_imaging_demo(image_path, m: int, p: int | None, rho: float, seed: int = 0,
                      tol: float = 1e-6, max_iterations: int = 100_000,
                      out_dir=None) -> DemoReport:
     """Blind calibration of an m-sensor array imaging a fixed picture.
 
     Each colour channel is flattened to a signal of length n = h * w and
     sensed through one shared ensemble and one shared gain profile of
-    maximum deviation rho. Channels are solved independently; the baseline
-    fixes the gains to one and solves the resulting least-squares problem,
-    fully absorbing the model error. With out_dir set, the reconstruction,
-    the recovered gain map, and a JSON error report are written there.
+    maximum deviation rho; p = None takes mp = 2n snapshots. Channels are
+    solved independently; the baseline fixes the gains to one and solves the
+    resulting least-squares problem, fully absorbing the model error. With
+    out_dir set, the reconstruction, the recovered gain map, and a JSON error
+    report are written there.
     """
+    if m < 1:
+        raise DimensionError(f"m must be a positive integer, got {m}")
     image = fileio.read_image(image_path)
     c, h, w = image.shape
     n = h * w
+    if p is None:
+        p = max(1, int(round(2 * n / m)))
     ensemble = generate_ensemble(n, m, p, "gaussian", derive_seed(seed, [("ensemble", 0)]))
-    if rho == 0.0:
-        d = np.ones(m)
-    else:
-        d = draw_gain_perturbation(m, rho, derive_seed(seed, [("gains", 0)]))
+    d = draw_gains(m, rho, seed)
 
     config = SolverConfig(step_mode=LINE_SEARCH, rho=rho, objective_tolerance=tol,
                           max_iterations=max_iterations, record_trace=False)
@@ -323,15 +337,12 @@ def run_imaging_demo(image_path, m: int, p: int, rho: float, seed: int = 0,
         truth = GroundTruth(x=x, d=d, rho=rho)
         y = sense(ensemble, x, d)
         result = solve(ensemble, y, config, truth=truth)
-        xs, ds = truth.x_star, truth.d_star
-        sig_err = float(np.linalg.norm(result.x_hat - xs) / np.linalg.norm(xs))
-        gain_err = float(np.linalg.norm(result.d_hat - ds) / np.linalg.norm(ds))
         x_ls = least_squares_baseline(ensemble, y)
-        ls_err = float(np.linalg.norm(x_ls - xs) / np.linalg.norm(xs))
         channels.append(ChannelReport(
-            signal_error_db=to_db(sig_err), gain_error_db=to_db(gain_err),
-            ls_error_db=to_db(ls_err), iterations=result.iterations,
-            stop_reason=result.stop_reason))
+            signal_error_db=to_db(_relative_error(result.x_hat, truth.x_star)),
+            gain_error_db=to_db(_relative_error(result.d_hat, truth.d_star)),
+            ls_error_db=to_db(_relative_error(x_ls, truth.x_star)),
+            iterations=result.iterations, stop_reason=result.stop_reason))
         x_hat[ci] = result.x_hat.reshape(h, w)
         if d_first is None:
             d_first = result.d_hat
@@ -372,29 +383,42 @@ def _write_demo_outputs(report: DemoReport, out_dir):
 # Weighted covariance concentration
 # ---------------------------------------------------------------------------
 
+# Weightings check_concentration accepts by name: all sensors, or the first.
+NAMED_WEIGHTS = {"ones": lambda m: np.ones(m), "e1": lambda m: np.eye(1, m)[0]}
+
+
 def check_concentration(n: int, m: int, p: int, distribution: str, theta,
                         trials: int, seed: int = 0) -> dict:
     """Spectral deviation of the theta-weighted covariance from its mean.
 
     For each trial the statistic is
     || (1/mp) sum_{i,l} theta_i (a_il a_il^T - I) ||_2 / ||theta||_inf
-    (zero when theta = 0). Returns the max and mean over trials.
+    (zero when theta = 0). ``theta`` holds m weights or names one of
+    NAMED_WEIGHTS. Returns the max and mean over trials.
     """
+    if trials < 1:
+        raise ParameterError(f"trials must be at least 1, got {trials}")
+    # ensembles are lazy, so building them all up front only validates n, m, p
+    ensembles = [generate_ensemble(n, m, p, distribution, derive_seed(seed, [("trial", t)]))
+                 for t in range(trials)]
     if n > 512:
         raise DimensionError("dense eigen-computation gated to n <= 512")
+    if isinstance(theta, str):
+        if theta not in NAMED_WEIGHTS:
+            raise ParameterError(f"unknown weighting {theta!r}; expected weights "
+                                 f"or one of {sorted(NAMED_WEIGHTS)}")
+        theta = NAMED_WEIGHTS[theta](m)
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (m,):
         raise DimensionError(f"theta must have shape ({m},), got {theta.shape}")
     theta_inf = float(np.max(np.abs(theta)))
     deviations = []
-    for t in range(trials):
+    for ensemble in ensembles:
         if theta_inf == 0.0:
             deviations.append(0.0)
             continue
-        ensemble = generate_ensemble(n, m, p, distribution,
-                                     derive_seed(seed, [("trial", t)]))
         acc = np.zeros((n, n))
-        for a in iter_snapshot_matrices(ensemble):
+        for a in ensemble.iter_matrices():
             acc += a.T @ (theta[:, None] * a)
         acc -= p * float(np.sum(theta)) * np.eye(n)
         acc /= m * p
@@ -442,14 +466,7 @@ class RateComparisonResult:
 def draw_imaging_instance(n: int, m: int, p: int, rho: float, seed: int) -> Instance:
     """Like draw_instance but with a smooth pixel-valued signal in [0, 1]."""
     x = draw_smooth_signal(n, derive_seed(seed, [("signal", 0)]))
-    if rho == 0.0:
-        d = np.ones(m)
-    else:
-        d = draw_gain_perturbation(m, rho, derive_seed(seed, [("gains", 0)]))
-    truth = GroundTruth(x=x, d=d, rho=rho)
-    ensemble = generate_ensemble(n, m, p, "gaussian",
-                                 derive_seed(seed, [("ensemble", 0)]))
-    return Instance(truth=truth, ensemble=ensemble, y=sense(ensemble, x, d))
+    return build_instance(x, draw_gains(m, rho, seed), rho, p, seed)
 
 
 def run_rate_comparison(spec: RateComparisonSpec) -> RateComparisonResult:
@@ -461,10 +478,10 @@ def run_rate_comparison(spec: RateComparisonSpec) -> RateComparisonResult:
     inst = draw_imaging_instance(spec.n, spec.m, spec.p, spec.rho, spec.seed)
     base = dict(rho=spec.rho, objective_tolerance=spec.tolerance,
                 max_iterations=spec.max_iterations, record_trace=True)
-    ls = solve(inst.ensemble, inst.y,
-               SolverConfig(step_mode=LINE_SEARCH, **base), truth=inst.truth)
-    fx = solve(inst.ensemble, inst.y,
-               SolverConfig(step_mode=FIXED, mu=spec.mu, **base), truth=inst.truth)
+    ls_config = SolverConfig(step_mode=LINE_SEARCH, **base)
+    fx_config = SolverConfig(step_mode=FIXED, mu=spec.mu, **base)
+    ls = solve(inst.ensemble, inst.y, ls_config, truth=inst.truth)
+    fx = solve(inst.ensemble, inst.y, fx_config, truth=inst.truth)
     return RateComparisonResult(
         line_search=ls, fixed=fx,
         line_search_error_db=to_db(recovery_error(ls.x_hat, ls.d_hat, inst.truth)),
@@ -491,8 +508,10 @@ def run_init_study(n: int = 32, m: int = 16,
     Fits the regression slope of log error against log(mp); the concentration
     analysis predicts a slope near -1/2.
     """
-    from .solver import initialise
-
+    if trials < 1:
+        raise ParameterError(f"trials must be at least 1, got {trials}")
+    if len(p_values) < 2:
+        raise ParameterError("the slope fit needs at least two p values")
     mp_values = []
     means = []
     for ip, p in enumerate(p_values):
@@ -501,8 +520,7 @@ def run_init_study(n: int = 32, m: int = 16,
             seed = derive_seed(base_seed, [("point", ip), ("trial", t)])
             inst = draw_instance(n, m, p, rho, seed)
             xi0, _ = initialise(inst.ensemble, inst.y)
-            xs = inst.truth.x_star
-            errors.append(float(np.linalg.norm(xi0 - xs) / np.linalg.norm(xs)))
+            errors.append(_relative_error(xi0, inst.truth.x_star))
         mp_values.append(m * p)
         means.append(float(np.mean(errors)))
     slope = float(np.polyfit(np.log(mp_values), np.log(means), 1)[0])

@@ -1,4 +1,5 @@
-"""Sensing model: random snapshot ensembles and the gained forward map.
+"""Sensing model: random snapshot ensembles, the sensing operator (forward
+map ``A xi`` and adjoint ``sum_l A_l^T w_l``) and the gained forward map.
 
 The measurement model is ``y_l = diag(d) A_l x`` for ``l = 1..p`` snapshots,
 where the ``A_l`` are independent m-by-n random matrices with i.i.d. centred
@@ -66,15 +67,25 @@ class SensingEnsemble:
     seed: int = 0
     _cache: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    @classmethod
+    def from_matrices(cls, matrices) -> SensingEnsemble:
+        """An ensemble holding explicit matrices, given stacked as (p, m, n)."""
+        matrices = np.asarray(matrices, dtype=float)
+        if matrices.ndim != 3:
+            raise DimensionError(
+                f"stacked matrices must be 3-d (p, m, n), got ndim={matrices.ndim}")
+        p, m, n = matrices.shape
+        return cls(n=n, m=m, p=p, _cache=matrices)
+
     def matrix(self, l: int) -> np.ndarray:
         """The l-th snapshot matrix A_l, shape (m, n)."""
+        if not 0 <= l < self.p:
+            raise DimensionError(f"snapshot index {l} outside [0, {self.p})")
         if self._cache is not None:
             return self._cache[l]
         return self._draw(l)
 
     def _draw(self, l: int) -> np.ndarray:
-        if not 0 <= l < self.p:
-            raise DimensionError(f"snapshot index {l} outside [0, {self.p})")
         rng = np.random.default_rng(derive_seed(self.seed, [("snapshot", l)]))
         if self.distribution == GAUSSIAN:
             return rng.standard_normal((self.m, self.n))
@@ -111,49 +122,49 @@ def generate_ensemble(n: int, m: int, p: int, distribution: str = GAUSSIAN,
 
 
 # ---------------------------------------------------------------------------
-# Helpers that accept either a SensingEnsemble or an explicit (p, m, n) array.
+# The sensing operator: stacked matrices when cached, else one snapshot at a
+# time.
 # ---------------------------------------------------------------------------
 
-def ensemble_dims(ensemble) -> tuple[int, int, int]:
-    """Return (n, m, p) for an ensemble or a stacked (p, m, n) array."""
-    if isinstance(ensemble, np.ndarray):
-        if ensemble.ndim != 3:
-            raise DimensionError(
-                f"stacked matrices must be 3-d (p, m, n), got ndim={ensemble.ndim}")
-        p, m, n = ensemble.shape
-        return n, m, p
-    return ensemble.n, ensemble.m, ensemble.p
+def forward(ensemble: SensingEnsemble, v) -> np.ndarray:
+    """Stack of A_l @ v over snapshots, shape (p, m)."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (ensemble.n,):
+        raise DimensionError(f"vector must have shape ({ensemble.n},), got {v.shape}")
+    stacked = ensemble.stacked()
+    if stacked is not None:
+        return stacked @ v
+    out = np.empty((ensemble.p, ensemble.m))
+    for l, a in enumerate(ensemble.iter_matrices()):
+        out[l] = a @ v
+    return out
 
 
-def stacked_matrices(ensemble) -> np.ndarray | None:
-    if isinstance(ensemble, np.ndarray):
-        return ensemble
-    return ensemble.stacked()
-
-
-def iter_snapshot_matrices(ensemble) -> Iterator[np.ndarray]:
-    if isinstance(ensemble, np.ndarray):
-        yield from ensemble
+def adjoint(ensemble: SensingEnsemble, w) -> np.ndarray:
+    """sum_l A_l^T w_l for per-snapshot weights w of shape (p, m)."""
+    n, m, p = ensemble.n, ensemble.m, ensemble.p
+    w = np.asarray(w, dtype=float)
+    if w.shape != (p, m):
+        raise DimensionError(f"weights must have shape ({p}, {m}), got {w.shape}")
+    stacked = ensemble.stacked()
+    if stacked is not None:
+        per_snapshot = np.einsum("lmn,lm->ln", stacked, w)
     else:
-        yield from ensemble.iter_matrices()
+        per_snapshot = np.empty((p, n))
+        for l, a in enumerate(ensemble.iter_matrices()):
+            per_snapshot[l] = a.T @ w[l]
+    return np.sum(per_snapshot, axis=0)
 
 
-def sense(ensemble, x, d) -> np.ndarray:
+def sense(ensemble: SensingEnsemble, x, d) -> np.ndarray:
     """Apply the forward model: snapshot l is ``d * (A_l @ x)``.
 
     Returns the (p, m) array of measurements. Linear in x and in d; invariant
     under the rescaling (x, d) -> (x / a, a * d) for any a != 0.
     """
-    n, m, p = ensemble_dims(ensemble)
-    x = _check_vector(x, n, "x")
-    d = _check_vector(d, m, "d")
-    stacked = stacked_matrices(ensemble)
-    if stacked is not None:
-        return d[None, :] * (stacked @ x)
-    out = np.empty((p, m))
-    for l, a in enumerate(iter_snapshot_matrices(ensemble)):
-        out[l] = d * (a @ x)
-    return out
+    x = _check_vector(x, ensemble.n, "x")
+    d = _check_vector(d, ensemble.m, "d")
+    return d[None, :] * forward(ensemble, x)
 
 
 @dataclass(frozen=True)
@@ -173,8 +184,8 @@ class GroundTruth:
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "d", np.asarray(self.d, dtype=float))
-        if self.x.ndim != 1 or self.d.ndim != 1:
-            raise DimensionError("x and d must be 1-d vectors")
+        if self.x.ndim != 1 or self.d.ndim != 1 or self.x.size == 0 or self.d.size == 0:
+            raise DimensionError("x and d must be non-empty 1-d vectors")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.d))):
             raise ParameterError("ground truth contains non-finite entries")
         if not 0.0 <= self.rho < 1.0:

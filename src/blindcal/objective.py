@@ -27,15 +27,15 @@ import numpy as np
 
 from . import geometry
 from .errors import DimensionError
-from .model import (GroundTruth, as_point, ensemble_dims, iter_snapshot_matrices,
-                    stacked_matrices)
+# the sensing operator lives in model; forward and adjoint are re-exported here
+from .model import GroundTruth, SensingEnsemble, adjoint, as_point, forward
 
 # Dense Hessian assembly is for diagnostics only; refuse absurd sizes.
 HESSIAN_SIZE_LIMIT = 2048
 
 
-def _check_shapes(ensemble, y=None, point=None):
-    n, m, p = ensemble_dims(ensemble)
+def _check_shapes(ensemble: SensingEnsemble, y=None, point=None):
+    n, m, p = ensemble.n, ensemble.m, ensemble.p
     if y is not None:
         y = np.asarray(y, dtype=float)
         if y.shape != (p, m):
@@ -49,47 +49,10 @@ def _check_shapes(ensemble, y=None, point=None):
     return n, m, p
 
 
-def forward(ensemble, v) -> np.ndarray:
-    """Stack of A_l @ v over snapshots, shape (p, m)."""
-    n, m, p = ensemble_dims(ensemble)
-    v = np.asarray(v, dtype=float)
-    if v.shape != (n,):
-        raise DimensionError(f"vector must have shape ({n},), got {v.shape}")
-    stacked = stacked_matrices(ensemble)
-    if stacked is not None:
-        return stacked @ v
-    out = np.empty((p, m))
-    for l, a in enumerate(iter_snapshot_matrices(ensemble)):
-        out[l] = a @ v
-    return out
-
-
-def adjoint(ensemble, w) -> np.ndarray:
-    """sum_l A_l^T w_l for per-snapshot weights w of shape (p, m)."""
-    n, m, p = ensemble_dims(ensemble)
-    w = np.asarray(w, dtype=float)
-    if w.shape != (p, m):
-        raise DimensionError(f"weights must have shape ({p}, {m}), got {w.shape}")
-    stacked = stacked_matrices(ensemble)
-    if stacked is not None:
-        per_snapshot = np.einsum("lmn,lm->ln", stacked, w)
-    else:
-        per_snapshot = np.empty((p, n))
-        for l, a in enumerate(iter_snapshot_matrices(ensemble)):
-            per_snapshot[l] = a.T @ w[l]
-    return np.sum(per_snapshot, axis=0)
-
-
-def residuals(ensemble, y, point) -> np.ndarray:
-    """Per-snapshot residuals gamma * (A_l xi) - y_l, shape (p, m)."""
-    _check_shapes(ensemble, y, point)
-    xi, gamma = as_point(point)
-    return gamma[None, :] * forward(ensemble, xi) - np.asarray(y, dtype=float)
-
-
 def objective_value(ensemble, y, point) -> float:
     n, m, p = _check_shapes(ensemble, y, point)
-    r = residuals(ensemble, y, point)
+    xi, gamma = as_point(point)
+    r = gamma[None, :] * forward(ensemble, xi) - np.asarray(y, dtype=float)
     return float(np.sum(r * r)) / (2.0 * m * p)
 
 
@@ -133,7 +96,7 @@ def hessian(ensemble, y, point) -> np.ndarray:
     h_xg = np.zeros((n, m))
     h_gg_diag = np.zeros(m)
     gamma_sq = gamma ** 2
-    for l, a in enumerate(iter_snapshot_matrices(ensemble)):
+    for l, a in enumerate(ensemble.iter_matrices()):
         ax = a @ xi
         h_xx += a.T @ (gamma_sq[:, None] * a)
         h_xg += a.T * (2.0 * gamma * ax - y[l])[None, :]

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DivergenceError, ParameterError, TheoryRangeWarning
-from .model import GroundTruth, Point, as_point, ensemble_dims
+from .model import GroundTruth, Point, as_point
 from .objective import adjoint, forward, gradients, objective_value
 
 LINE_SEARCH = "line_search"
@@ -66,10 +66,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverState:
+    """An iterate, its objective, and the steps that produced it (0 at the start)."""
+
     xi: np.ndarray
     gamma: np.ndarray
     iteration: int
     objective: float
+    mu_xi: float = 0.0
+    mu_gamma: float = 0.0
 
 
 @dataclass
@@ -101,10 +105,8 @@ class SolverTrace:
 
 def initialise(ensemble, y) -> tuple[np.ndarray, np.ndarray]:
     """Backprojection start: xi_0 = (1/mp) sum_l A_l^T y_l, gamma_0 = 1."""
-    n, m, p = ensemble_dims(ensemble)
-    y = np.asarray(y, dtype=float)
-    xi0 = adjoint(ensemble, y) / (m * p)
-    return xi0, np.ones(m)
+    xi0 = adjoint(ensemble, y) / (ensemble.m * ensemble.p)
+    return xi0, np.ones(ensemble.m)
 
 
 def exact_line_search(state, ensemble, y) -> tuple[float, float]:
@@ -117,44 +119,42 @@ def exact_line_search(state, ensemble, y) -> tuple[float, float]:
     direction (or image) yields step 0 for that block.
     """
     xi, gamma = as_point(state)
-    n, m, p = ensemble_dims(ensemble)
     grads = gradients(ensemble, y, (xi, gamma))
     ax = forward(ensemble, xi)
-    return _line_search_steps(ensemble, gamma, ax, grads, m * p)
+    return _line_search_steps(ensemble, gamma, ax, grads, ensemble.m * ensemble.p)
 
 
 def _line_search_steps(ensemble, gamma, ax, grads, mp) -> tuple[float, float]:
     g = grads.grad_xi
     h = grads.grad_gamma_projected
-
-    num_xi = mp * float(g @ g)
-    if num_xi == 0.0:
-        mu_xi = 0.0
-    else:
-        image = gamma[None, :] * forward(ensemble, g)
-        den = float(np.sum(image * image))
-        mu_xi = num_xi / den if den > 0.0 else 0.0
-
-    num_gamma = mp * float(h @ h)
-    if num_gamma == 0.0:
-        mu_gamma = 0.0
-    else:
-        image = ax * h[None, :]
-        den = float(np.sum(image * image))
-        mu_gamma = num_gamma / den if den > 0.0 else 0.0
+    mu_xi = _exact_step(mp * float(g @ g), lambda: gamma[None, :] * forward(ensemble, g))
+    mu_gamma = _exact_step(mp * float(h @ h), lambda: ax * h[None, :])
     return mu_xi, mu_gamma
 
 
-def _iterate(state: SolverState, config: SolverConfig, ensemble, y,
-             fixed_steps=None):
-    """One descent update; returns (new_state, mu_xi, mu_gamma)."""
-    n, m, p = ensemble_dims(ensemble)
+def _exact_step(num: float, image) -> float:
+    """num / ||image()||^2, or 0 when the direction or its image vanishes."""
+    if num == 0.0:
+        return 0.0
+    im = image()
+    den = float(np.sum(im * im))
+    return num / den if den > 0.0 else 0.0
+
+
+def iterate(state: SolverState, config: SolverConfig, ensemble, y,
+            fixed_steps=None) -> SolverState:
+    """Apply one descent update; the new state carries the steps taken.
+
+    Line-search mode takes the exact block steps; fixed mode needs the step
+    pair (mu_xi, mu_gamma) in ``fixed_steps``.
+    """
     xi, gamma = state.xi, state.gamma
     grads = gradients(ensemble, y, (xi, gamma))
 
     if config.step_mode == LINE_SEARCH:
         ax = forward(ensemble, xi)
-        mu_xi, mu_gamma = _line_search_steps(ensemble, gamma, ax, grads, m * p)
+        mu_xi, mu_gamma = _line_search_steps(ensemble, gamma, ax, grads,
+                                             ensemble.m * ensemble.p)
     else:
         if fixed_steps is None:
             raise ParameterError(
@@ -176,14 +176,7 @@ def _iterate(state: SolverState, config: SolverConfig, ensemble, y,
     if not np.isfinite(f_next):
         raise DivergenceError(
             f"objective became non-finite at iteration {iteration}", iteration)
-    return SolverState(xi_next, gamma_next, iteration, f_next), mu_xi, mu_gamma
-
-
-def iterate(state: SolverState, config: SolverConfig, ensemble, y,
-            fixed_steps=None) -> SolverState:
-    """Apply one update of the descent (see _iterate for the step logic)."""
-    new_state, _, _ = _iterate(state, config, ensemble, y, fixed_steps)
-    return new_state
+    return SolverState(xi_next, gamma_next, iteration, f_next, mu_xi, mu_gamma)
 
 
 @dataclass
@@ -207,7 +200,6 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
     With ground truth supplied, the trace additionally records the distances
     delta and delta_F of each recorded iterate.
     """
-    n, m, p = ensemble_dims(ensemble)
     t0 = time.perf_counter()
     xi0, gamma0 = initialise(ensemble, y)
     f0 = objective_value(ensemble, y, (xi0, gamma0))
@@ -218,7 +210,7 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
         norm0 = float(xi0 @ xi0)
         if norm0 == 0.0:
             raise ParameterError("zero initial signal estimate; cannot scale gain step")
-        fixed_steps = (config.mu, config.mu * m / norm0)
+        fixed_steps = (config.mu, config.mu * ensemble.m / norm0)
 
     trace = SolverTrace()
     if config.record_trace:
@@ -238,18 +230,19 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
                     stop = STAGNATED
                     break
             previous_objective = state.objective
-            state, mu_xi, mu_gamma = _iterate(state, config, ensemble, y, fixed_steps)
+            state = iterate(state, config, ensemble, y, fixed_steps)
             recent.append(state.objective)
             if len(recent) > config.stagnation_window + 1:
                 recent.pop(0)
             if config.record_trace and (state.iteration <= TRACE_DENSE_LIMIT
                                         or state.iteration % 10 == 0):
-                trace.record(state, mu_xi, mu_gamma, time.perf_counter() - t0, truth)
+                trace.record(state, state.mu_xi, state.mu_gamma,
+                             time.perf_counter() - t0, truth)
             if previous_objective < config.objective_tolerance:
                 stop = CONVERGED
                 break
 
-    if config.record_trace and (len(trace) == 0 or trace.iteration[-1] != state.iteration):
+    if config.record_trace and trace.iteration[-1] != state.iteration:
         trace.record(state, 0.0, 0.0, time.perf_counter() - t0, truth)
     return SolveResult(x_hat=state.xi, d_hat=state.gamma, trace=trace,
                        stop_reason=stop, iterations=state.iteration,

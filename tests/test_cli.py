@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from blindcal import fileio
 from blindcal.cli import dispatch
@@ -79,6 +80,49 @@ def test_invalid_rho_is_usage_error(capsys):
     assert "rho" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "--tol", "0"],
+    ["solve", "--max-iterations", "0"],
+    ["solve", "--n", "0"],
+    ["solve", "--m", "0"],
+    ["solve", "--p", "0"],
+    ["solve", "--rho", "1.5"],
+    ["solve", "--x-file", "x.csv"],
+    ["phase-transition", "--p-values", "0"],
+    ["phase-transition", "--p-values", ""],
+    ["phase-transition", "--rho-values", "1.5"],
+    ["phase-transition", "--trials", "0"],
+    ["phase-transition", "--workers", "0"],
+    ["phase-transition", "--zeta-db", "1"],
+    ["demo-image", "--input", "{image}", "--m", "0"],
+    ["demo-image", "--input", "{image}", "--p", "0"],
+    ["demo-image", "--input", "{image}", "--rho", "1.5"],
+    ["demo-image", "--input", "{image}", "--tol", "0"],
+    ["rate-compare", "--mu", "0"],
+    ["rate-compare", "--n", "0"],
+    ["rate-compare", "--p", "0"],
+    ["rate-compare", "--rho", "1.5"],
+    ["rate-compare", "--tol", "0"],
+    ["rate-compare", "--max-iterations", "0"],
+    ["check-concentration", "--trials", "0"],
+    ["check-concentration", "--n", "0"],
+    ["check-concentration", "--m", "0"],
+    ["check-concentration", "--p", "0"],
+    ["check-concentration", "--theta", "1,2"],
+    ["init-study", "--rho", "1.5"],
+    ["init-study", "--trials", "0"],
+    ["init-study", "--n", "0"],
+    ["init-study", "--m", "0"],
+    ["init-study", "--p-values", "8,0"],
+], ids=" ".join)
+def test_invalid_value_is_usage_error(tmp_path, capsys, args):
+    image = tmp_path / "scene.pgm"
+    fileio.write_image(image, np.full((1, 4, 4), 0.5))
+    args = [arg.format(image=image) for arg in args]
+    assert run(args + ["--out", str(tmp_path / "out")]) == 1
+    assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
+
 def test_missing_image_is_runtime_error(tmp_path, capsys):
     code = run(["demo-image", "--input", str(tmp_path / "absent.pgm"),
                 "--out", str(tmp_path)])
@@ -105,6 +149,13 @@ def test_demo_image_runs(tmp_path):
                            "channels"}
     assert (out / "x_hat.pgm").exists()
     assert (out / "d_hat.pgm").exists()
+
+
+def test_demo_image_without_input_uses_test_scene(tmp_path):
+    out = tmp_path / "out"
+    assert run(["demo-image", "--max-iterations", "5", "--out", str(out)]) == 0
+    for name in ("scene.pgm", "x_hat.pgm", "d_hat.pgm", "report.json"):
+        assert (out / name).exists()
 
 
 def test_phase_transition_with_config(tmp_path):

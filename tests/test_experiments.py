@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blindcal import fileio
-from blindcal.errors import SingularityError
+from blindcal.errors import DimensionError, ParameterError, SingularityError
 from blindcal.experiments import (PhaseGridSpec, RateComparisonSpec,
                                   check_concentration, draw_instance,
                                   draw_signal_ball, draw_smooth_signal,
@@ -75,6 +75,25 @@ def test_workers_match_serial():
     assert [t.error_db for t in serial.trials] == [t.error_db for t in parallel.trials]
 
 
+@pytest.mark.parametrize("bad, error", [
+    (dict(p_values=()), ParameterError),
+    (dict(rho_values=()), ParameterError),
+    (dict(p_values=(4, 0)), DimensionError),
+    (dict(rho_values=(0.1, 1.5)), ParameterError),
+    (dict(trials_per_cell=0), ParameterError),
+    (dict(zeta_db=1.0), ParameterError),
+])
+def test_grid_spec_rejects_bad_values(bad, error):
+    with pytest.raises(error):
+        PhaseGridSpec(**bad)
+
+
+def test_grid_rejects_zero_workers():
+    spec = PhaseGridSpec(n=8, m=4, p_values=(4,), rho_values=(0.1,), trials_per_cell=1)
+    with pytest.raises(ParameterError):
+        run_phase_transition(spec, workers=0)
+
+
 def test_trial_reproducible_from_indices():
     spec = PhaseGridSpec(n=12, m=6, p_values=(16,), rho_values=(0.01,),
                          trials_per_cell=2, base_seed=3, max_iterations=500)
@@ -140,6 +159,21 @@ def test_baseline_rejects_underdetermined():
 def test_concentration_zero_weights():
     out = check_concentration(8, 4, 3, "gaussian", np.zeros(4), trials=3)
     assert out["max_deviation"] == 0.0
+
+
+def test_concentration_rejects_zero_trials():
+    with pytest.raises(ParameterError):
+        check_concentration(8, 4, 3, "gaussian", np.ones(4), trials=0)
+
+
+def test_concentration_named_weights():
+    e1 = np.zeros(4)
+    e1[0] = 1.0
+    for name, theta in (("ones", np.ones(4)), ("e1", e1)):
+        assert (check_concentration(8, 4, 3, "gaussian", name, trials=2, seed=1)
+                == check_concentration(8, 4, 3, "gaussian", theta, trials=2, seed=1))
+    with pytest.raises(ParameterError):
+        check_concentration(8, 4, 3, "gaussian", "twos", trials=2)
 
 
 def test_concentration_shrinks_with_p():
@@ -240,3 +274,9 @@ def test_init_study_slope():
     result = run_init_study(n=16, m=8, p_values=(8, 32, 128, 512), trials=20,
                             rho=0.5, base_seed=2)
     assert -0.65 <= result.slope <= -0.35
+
+
+@pytest.mark.parametrize("bad", [dict(trials=0), dict(p_values=(8,))])
+def test_init_study_rejects_bad_values(bad):
+    with pytest.raises(ParameterError):
+        run_init_study(**dict(dict(n=8, m=4, p_values=(8, 16), trials=2), **bad))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from blindcal.errors import DimensionError, ParameterError
-from blindcal.model import (GroundTruth, generate_ensemble, sense)
+from blindcal.model import (GroundTruth, SensingEnsemble, generate_ensemble, sense)
 
 
 def test_generate_is_deterministic():
@@ -64,7 +64,8 @@ def test_sense_zero_signal():
 
 def test_sense_hand_computed():
     matrices = np.array([[[1.0, 2.0], [3.0, 4.0]]])  # p=1, m=2, n=2
-    y = sense(matrices, np.array([1.0, 1.0]), np.array([2.0, 0.5]))
+    y = sense(SensingEnsemble.from_matrices(matrices), np.array([1.0, 1.0]),
+              np.array([2.0, 0.5]))
     np.testing.assert_allclose(y, [[6.0, 3.5]], rtol=1e-15)
 
 
@@ -114,6 +115,30 @@ def test_sense_scaling_ambiguity(seed, alpha):
     d = rng.uniform(0.5, 1.5, 3)
     np.testing.assert_allclose(sense(e, x / alpha, alpha * d), sense(e, x, d),
                                rtol=1e-12, atol=1e-12)
+
+
+def test_from_matrices_rejects_non_stacked_input():
+    with pytest.raises(DimensionError):
+        SensingEnsemble.from_matrices(np.eye(2))
+
+
+def test_operator_shared_with_objective():
+    import blindcal.model as model
+    import blindcal.objective as objective
+    assert objective.forward is model.forward
+    assert objective.adjoint is model.adjoint
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "lazy"])
+def test_snapshot_index_checked(monkeypatch, cached):
+    if not cached:
+        monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 1)
+    e = generate_ensemble(4, 3, 5, "gaussian", seed=2)
+    assert (e.stacked() is not None) == cached
+    np.testing.assert_array_equal(e.matrix(4), list(e.iter_matrices())[4])
+    for l in (-1, 5):
+        with pytest.raises(DimensionError):
+            e.matrix(l)
 
 
 def test_lazy_path_matches_stacked(monkeypatch):

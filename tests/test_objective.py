@@ -3,7 +3,7 @@ import pytest
 
 from blindcal.errors import DimensionError
 from blindcal.geometry import draw_gain_perturbation
-from blindcal.model import GroundTruth, generate_ensemble, sense
+from blindcal.model import GroundTruth, SensingEnsemble, generate_ensemble, sense
 from blindcal.objective import (expected_gradients, expected_hessian,
                                 expected_objective, gradients, hessian,
                                 objective_value)
@@ -69,7 +69,7 @@ def test_zero_at_ground_truth():
 
 
 def test_hand_computed_value():
-    matrices = np.eye(2)[None, :, :]  # p=1, identity sensing
+    matrices = SensingEnsemble.from_matrices(np.eye(2)[None, :, :])  # p=1, identity sensing
     x = np.array([1.0, 1.0])
     d = np.array([1.0, 1.0])
     y = sense(matrices, x, d)
