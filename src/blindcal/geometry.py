@@ -38,22 +38,32 @@ def project_C_rho(gamma, rho: float) -> np.ndarray:
         min ||e - z||^2  s.t.  sum(e) = 0,  |e_i| <= rho,
 
     whose KKT conditions give e_i = clip(z_i - lam, -rho, rho) with the
-    multiplier lam chosen so the coordinates sum to zero. The map
-    lam -> sum_i e_i(lam) is piecewise linear and non-increasing, so lam is
-    located exactly by scanning the 2m sorted breakpoints {z_i -+ rho}; a
-    bisection fallback tightens the root if the scan leaves a residual above
-    1e-12 * m.
+    multiplier lam chosen so the coordinates sum to zero. When no box
+    constraint is active, lam = mean(z) and e = z - mean(z), the projection
+    onto the zero-sum hyperplane; that case is returned directly. Otherwise
+    the map lam -> sum_i e_i(lam) is piecewise linear and non-increasing, so
+    lam is located exactly by scanning the 2m sorted breakpoints
+    {z_i -+ rho}; a bisection fallback tightens the root if the scan leaves a
+    residual above 1e-12 * m.
 
     Returns 1 + e, which satisfies both constraints to near machine accuracy.
     """
     if not 0.0 <= rho < 1.0:
         raise ParameterError(f"rho must lie in [0, 1), got {rho}")
     gamma = np.asarray(gamma, dtype=float)
-    m = gamma.size
     if rho == 0.0:
-        return np.ones(m)
+        return np.ones(gamma.size)
     z = gamma - 1.0
+    e = z - z.mean()
+    if np.max(np.abs(e)) <= rho:
+        return 1.0 + e
+    return 1.0 + _breakpoint_projection(z, rho)
 
+
+def _breakpoint_projection(z: np.ndarray, rho: float) -> np.ndarray:
+    """The e = clip(z - lam, -rho, rho) summing to zero, lam found by the
+    breakpoint scan of ``project_C_rho``."""
+    m = z.size
     zs = np.sort(z)
     prefix = np.concatenate(([0.0], np.cumsum(zs)))
 
@@ -102,7 +112,7 @@ def project_C_rho(gamma, rho: float) -> np.ndarray:
                 break
         lam = 0.5 * (lo_b + hi_b)
         e = np.clip(z - lam, -rho, rho)
-    return 1.0 + e
+    return e
 
 
 def delta(point, truth: GroundTruth) -> float:

@@ -57,7 +57,8 @@ class SensingEnsemble:
 
     Snapshot ``l`` is drawn from ``derive_seed(seed, [("snapshot", l)])``, so
     any single matrix can be regenerated independently and deterministically.
-    Small ensembles are cached stacked as a (p, m, n) array for speed.
+    Small ensembles are cached stacked as a C-contiguous (p, m, n) array, so
+    the operator can apply it as one flattened (p*m, n) matrix.
     """
 
     n: int
@@ -70,7 +71,7 @@ class SensingEnsemble:
     @classmethod
     def from_matrices(cls, matrices) -> SensingEnsemble:
         """An ensemble holding explicit matrices, given stacked as (p, m, n)."""
-        matrices = np.asarray(matrices, dtype=float)
+        matrices = np.ascontiguousarray(matrices, dtype=float)
         if matrices.ndim != 3:
             raise DimensionError(
                 f"stacked matrices must be 3-d (p, m, n), got ndim={matrices.ndim}")
@@ -122,19 +123,20 @@ def generate_ensemble(n: int, m: int, p: int, distribution: str = GAUSSIAN,
 
 
 # ---------------------------------------------------------------------------
-# The sensing operator: stacked matrices when cached, else one snapshot at a
-# time.
+# The sensing operator: one gemv on the flattened (p*m, n) matrix when cached,
+# else one snapshot at a time.
 # ---------------------------------------------------------------------------
 
 def forward(ensemble: SensingEnsemble, v) -> np.ndarray:
     """Stack of A_l @ v over snapshots, shape (p, m)."""
+    n, m, p = ensemble.n, ensemble.m, ensemble.p
     v = np.asarray(v, dtype=float)
-    if v.shape != (ensemble.n,):
-        raise DimensionError(f"vector must have shape ({ensemble.n},), got {v.shape}")
+    if v.shape != (n,):
+        raise DimensionError(f"vector must have shape ({n},), got {v.shape}")
     stacked = ensemble.stacked()
     if stacked is not None:
-        return stacked @ v
-    out = np.empty((ensemble.p, ensemble.m))
+        return (stacked.reshape(p * m, n) @ v).reshape(p, m)
+    out = np.empty((p, m))
     for l, a in enumerate(ensemble.iter_matrices()):
         out[l] = a @ v
     return out
@@ -148,12 +150,11 @@ def adjoint(ensemble: SensingEnsemble, w) -> np.ndarray:
         raise DimensionError(f"weights must have shape ({p}, {m}), got {w.shape}")
     stacked = ensemble.stacked()
     if stacked is not None:
-        per_snapshot = np.einsum("lmn,lm->ln", stacked, w)
-    else:
-        per_snapshot = np.empty((p, n))
-        for l, a in enumerate(ensemble.iter_matrices()):
-            per_snapshot[l] = a.T @ w[l]
-    return np.sum(per_snapshot, axis=0)
+        return w.reshape(p * m) @ stacked.reshape(p * m, n)
+    out = np.zeros(n)
+    for l, a in enumerate(ensemble.iter_matrices()):
+        out += a.T @ w[l]
+    return out
 
 
 def sense(ensemble: SensingEnsemble, x, d) -> np.ndarray:
@@ -174,12 +175,15 @@ class GroundTruth:
     Gains are stored already rescaled onto the scaled simplex (sum(d) = m),
     which pins the one representative of the scaling orbit that all error
     metrics compare against. ``x_star``/``d_star`` apply the exact rescaling
-    once more to absorb any residual drift in sum(d).
+    once more to absorb any residual drift in sum(d); they are computed once,
+    at construction, and are read-only.
     """
 
     x: np.ndarray
     d: np.ndarray
     rho: float
+    x_star: np.ndarray = field(init=False, repr=False, compare=False)
+    d_star: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
@@ -197,6 +201,10 @@ class GroundTruth:
             raise ParameterError("gains must sum to m (scaled-simplex representative)")
         if float(np.max(np.abs(self.d - 1.0))) > self.rho + 1e-12:
             raise ParameterError("max gain deviation exceeds rho")
+        total = float(np.sum(self.d))
+        for name, value in (("x_star", (total / m) * self.x), ("d_star", (m / total) * self.d)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -205,11 +213,3 @@ class GroundTruth:
     @property
     def m(self) -> int:
         return self.d.size
-
-    @property
-    def x_star(self) -> np.ndarray:
-        return (float(np.sum(self.d)) / self.m) * self.x
-
-    @property
-    def d_star(self) -> np.ndarray:
-        return (self.m / float(np.sum(self.d))) * self.d

@@ -15,8 +15,14 @@ As p grows each quantity is an unbiased estimate of a closed form in
 verification and for the objective's Frobenius interpretation
 E f = (1 / 2m) || xi gamma^T - x* d*^T ||_F^2.
 
-Per-snapshot sums use numpy reductions (pairwise summation) and merge across
-snapshots in ascending index order, so results are deterministic.
+``gradients`` evaluates a point in one pass over the operator and also returns
+f and the image A xi, so a caller that needs all three applies the operator
+once forward and once adjoint. On a cached ensemble both are single BLAS gemv
+calls on the flattened (p*m, n) matrix, whose summation order is the BLAS
+library's; on a lazy one each A_l is regenerated once and the adjoint sums
+the snapshots in ascending index order. For one ensemble, BLAS library and
+thread count, every result repeats bit for bit; between the cached and the
+lazy path, or between BLAS builds, results may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -58,24 +64,40 @@ def objective_value(ensemble, y, point) -> float:
 
 @dataclass(frozen=True)
 class GradientPair:
-    """Signal gradient, gain gradient, and the zero-sum-projected gain gradient."""
+    """Signal gradient, gain gradient, and the zero-sum-projected gain gradient.
+
+    ``gradients`` also fills in the objective f and the image A xi, shape
+    (p, m), of the point it evaluated; the expectation forms leave them None.
+    """
 
     grad_xi: np.ndarray
     grad_gamma: np.ndarray
     grad_gamma_projected: np.ndarray
+    objective: float | None = None
+    ax: np.ndarray | None = None
 
 
 def gradients(ensemble, y, point) -> GradientPair:
-    """Both gradient blocks, sharing one residual evaluation."""
+    """Both gradient blocks, f and A xi, from one residual evaluation."""
     n, m, p = _check_shapes(ensemble, y, point)
     xi, gamma = as_point(point)
-    ax = forward(ensemble, xi)
-    r = gamma[None, :] * ax - np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if ensemble.stacked() is not None:
+        ax = forward(ensemble, xi)
+        r = gamma[None, :] * ax - y
+        back = adjoint(ensemble, gamma[None, :] * r)
+    else:
+        # one regeneration pass: A_l xi, r_l and A_l^T (gamma * r_l) share A_l
+        ax, r, back = np.empty((p, m)), np.empty((p, m)), np.zeros(n)
+        for l, a in enumerate(ensemble.iter_matrices()):
+            ax[l] = a @ xi
+            r[l] = gamma * ax[l] - y[l]
+            back += a.T @ (gamma * r[l])
     scale = 1.0 / (m * p)
-    grad_xi = scale * adjoint(ensemble, gamma[None, :] * r)
     grad_gamma = scale * np.sum(ax * r, axis=0)
-    return GradientPair(grad_xi=grad_xi, grad_gamma=grad_gamma,
-                        grad_gamma_projected=geometry.project_zero_sum(grad_gamma))
+    return GradientPair(grad_xi=scale * back, grad_gamma=grad_gamma,
+                        grad_gamma_projected=geometry.project_zero_sum(grad_gamma),
+                        objective=float(np.sum(r * r)) / (2.0 * m * p), ax=ax)
 
 
 def hessian(ensemble, y, point) -> np.ndarray:

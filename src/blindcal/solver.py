@@ -13,6 +13,15 @@ Note on the line searches: each step is the exact minimiser of the 1-d
 quadratic along the descent direction, computed in closed form from the
 residuals. Because the directions are the gradient blocks themselves, the
 numerators reduce to mp times the squared direction norms.
+
+Operator cost: every iterate is evaluated once, by ``objective.gradients``
+(f, A xi and both gradients), and the state carries that evaluation into the
+next step. An iteration therefore applies the operator once forward and once
+adjoint for the new point, plus once forward for the line-search image A g:
+2 forward + 1 adjoint with line search, 1 + 1 with fixed steps. On a lazy
+ensemble that is 2 regeneration passes per line-search iteration (1 with
+fixed steps). A solve adds one adjoint for the start point and one
+evaluation of it.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import numpy as np
 from . import geometry
 from .errors import DivergenceError, ParameterError, TheoryRangeWarning
 from .model import GroundTruth, Point, as_point
-from .objective import adjoint, forward, gradients, objective_value
+from .objective import GradientPair, adjoint, forward, gradients
 
 LINE_SEARCH = "line_search"
 FIXED = "fixed"
@@ -66,7 +75,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverState:
-    """An iterate, its objective, and the steps that produced it (0 at the start)."""
+    """An iterate, its objective, and the steps that produced it (0 at the start).
+
+    ``evaluation`` is ``gradients`` at (xi, gamma) for the ensemble and data
+    the state is iterated with; ``iterate`` carries it into the next step.
+    Left None, it is computed when needed.
+    """
 
     xi: np.ndarray
     gamma: np.ndarray
@@ -74,6 +88,7 @@ class SolverState:
     objective: float
     mu_xi: float = 0.0
     mu_gamma: float = 0.0
+    evaluation: GradientPair | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -109,6 +124,12 @@ def initialise(ensemble, y) -> tuple[np.ndarray, np.ndarray]:
     return xi0, np.ones(ensemble.m)
 
 
+def _evaluation(state, ensemble, y) -> GradientPair:
+    """The evaluation a state carries, else ``gradients`` at its point."""
+    carried = getattr(state, "evaluation", None)
+    return carried if carried is not None else gradients(ensemble, y, as_point(state))
+
+
 def exact_line_search(state, ensemble, y) -> tuple[float, float]:
     """Exact minimisers of f along the two block descent directions.
 
@@ -116,19 +137,19 @@ def exact_line_search(state, ensemble, y) -> tuple[float, float]:
     s_l = gamma * (A_l g), so the minimiser of the 1-d quadratic is
     sum_l <r_l, s_l> / sum_l ||s_l||^2 = mp ||g||^2 / sum_l ||s_l||^2,
     and symmetrically for the projected gain direction. A vanishing
-    direction (or image) yields step 0 for that block.
+    direction (or image) yields step 0 for that block. A state that carries
+    its evaluation is not evaluated again.
     """
-    xi, gamma = as_point(state)
-    grads = gradients(ensemble, y, (xi, gamma))
-    ax = forward(ensemble, xi)
-    return _line_search_steps(ensemble, gamma, ax, grads, ensemble.m * ensemble.p)
+    return _line_search_steps(ensemble, as_point(state).gamma,
+                              _evaluation(state, ensemble, y))
 
 
-def _line_search_steps(ensemble, gamma, ax, grads, mp) -> tuple[float, float]:
+def _line_search_steps(ensemble, gamma, grads) -> tuple[float, float]:
+    mp = ensemble.m * ensemble.p
     g = grads.grad_xi
     h = grads.grad_gamma_projected
     mu_xi = _exact_step(mp * float(g @ g), lambda: gamma[None, :] * forward(ensemble, g))
-    mu_gamma = _exact_step(mp * float(h @ h), lambda: ax * h[None, :])
+    mu_gamma = _exact_step(mp * float(h @ h), lambda: grads.ax * h[None, :])
     return mu_xi, mu_gamma
 
 
@@ -143,18 +164,17 @@ def _exact_step(num: float, image) -> float:
 
 def iterate(state: SolverState, config: SolverConfig, ensemble, y,
             fixed_steps=None) -> SolverState:
-    """Apply one descent update; the new state carries the steps taken.
+    """Apply one descent update; the new state carries the steps taken and
+    its own evaluation.
 
     Line-search mode takes the exact block steps; fixed mode needs the step
     pair (mu_xi, mu_gamma) in ``fixed_steps``.
     """
     xi, gamma = state.xi, state.gamma
-    grads = gradients(ensemble, y, (xi, gamma))
+    grads = _evaluation(state, ensemble, y)
 
     if config.step_mode == LINE_SEARCH:
-        ax = forward(ensemble, xi)
-        mu_xi, mu_gamma = _line_search_steps(ensemble, gamma, ax, grads,
-                                             ensemble.m * ensemble.p)
+        mu_xi, mu_gamma = _line_search_steps(ensemble, gamma, grads)
     else:
         if fixed_steps is None:
             raise ParameterError(
@@ -171,12 +191,15 @@ def iterate(state: SolverState, config: SolverConfig, ensemble, y,
     if config.apply_C_rho_projection:
         gamma_next = geometry.project_C_rho(gamma_next, config.rho)
 
-    with np.errstate(over="ignore"):  # overflow here is the divergence signal
-        f_next = objective_value(ensemble, y, (xi_next, gamma_next))
+    # overflow here (and the inf - inf it leads to) is the divergence signal
+    with np.errstate(over="ignore", invalid="ignore"):
+        grads_next = gradients(ensemble, y, (xi_next, gamma_next))
+    f_next = grads_next.objective
     if not np.isfinite(f_next):
         raise DivergenceError(
             f"objective became non-finite at iteration {iteration}", iteration)
-    return SolverState(xi_next, gamma_next, iteration, f_next, mu_xi, mu_gamma)
+    return SolverState(xi_next, gamma_next, iteration, f_next, mu_xi, mu_gamma,
+                       grads_next)
 
 
 @dataclass
@@ -202,8 +225,9 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
     """
     t0 = time.perf_counter()
     xi0, gamma0 = initialise(ensemble, y)
-    f0 = objective_value(ensemble, y, (xi0, gamma0))
-    state = SolverState(xi0, gamma0, 0, f0)
+    grads0 = gradients(ensemble, y, (xi0, gamma0))
+    f0 = grads0.objective
+    state = SolverState(xi0, gamma0, 0, f0, evaluation=grads0)
 
     fixed_steps = None
     if config.step_mode == FIXED:

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis.extra.numpy import arrays
 
 from blindcal.errors import ParameterError
-from blindcal.geometry import (NeighbourhoodSpec, delta, delta_F,
-                               draw_gain_perturbation, in_neighbourhood,
+from blindcal.geometry import (NeighbourhoodSpec, _breakpoint_projection, delta,
+                               delta_F, draw_gain_perturbation, in_neighbourhood,
                                project_C_rho, project_zero_sum)
 from blindcal.model import GroundTruth
 from blindcal.objective import expected_objective
@@ -126,6 +126,23 @@ def test_projection_non_expansive(seed, rho):
     b = 1.0 + rng.uniform(-2, 2, m)
     pa, pb = project_C_rho(a, rho), project_C_rho(b, rho)
     assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-10
+
+
+unit_entries = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@given(arrays(np.float64, st.integers(min_value=1, max_value=12), elements=unit_entries),
+       st.floats(min_value=1e-3, max_value=0.99), st.floats(min_value=-5.0, max_value=5.0),
+       st.floats(min_value=0.0, max_value=5.0))
+@settings(max_examples=200)
+def test_projection_fast_path_matches_breakpoint_scan(u, rho, shift, spread):
+    # spread <= 0.5 keeps every |z_i - mean(z)| <= rho: the in-box fast path;
+    # larger spreads clip some coordinates and take the breakpoint scan
+    z = shift + spread * rho * u
+    out = project_C_rho(1.0 + z, rho)
+    np.testing.assert_allclose(out, 1.0 + _breakpoint_projection(z, rho), rtol=0, atol=1e-12)
+    assert abs(out.sum() - u.size) <= 1e-12 * u.size
+    assert np.max(np.abs(out - 1.0)) <= rho + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -166,3 +166,18 @@ def test_ground_truth_validation():
         GroundTruth(x=x, d=np.array([1.2, 1.2, 1.2, 1.2]), rho=0.5)  # sum != m
     with pytest.raises(ParameterError):
         GroundTruth(x=x, d=d, rho=1.0)
+
+
+def test_canonical_truth_computed_once_and_read_only():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal(5)
+    d = np.array([1.1, 0.9, 1.05, 0.95 + 1e-12])  # sum(d) = m up to 1e-12
+    truth = GroundTruth(x=x, d=d, rho=0.2)
+    total = float(np.sum(d))
+    np.testing.assert_array_equal(truth.x_star, (total / 4) * x)
+    np.testing.assert_array_equal(truth.d_star, (4 / total) * d)
+    assert truth.x_star is truth.x_star and truth.d_star is truth.d_star
+    for value in (truth.x_star, truth.d_star):
+        with pytest.raises(ValueError):
+            value[0] = 0.0
+    np.testing.assert_array_equal(truth.x_star, (total / 4) * x)

@@ -3,9 +3,9 @@ import pytest
 
 from blindcal.errors import DivergenceError, ParameterError, TheoryRangeWarning
 from blindcal.experiments import draw_instance, recovery_error
-from blindcal.geometry import delta, draw_gain_perturbation
-from blindcal.model import GroundTruth, generate_ensemble, sense
-from blindcal.objective import objective_value
+from blindcal.geometry import delta, draw_gain_perturbation, project_C_rho
+from blindcal.model import GroundTruth, SensingEnsemble, generate_ensemble, sense
+from blindcal.objective import forward, gradients, objective_value
 from blindcal.solver import (CONVERGED, FIXED, LINE_SEARCH, MAX_ITERATIONS,
                              SolverConfig, SolverState, contraction_diagnostics,
                              default_kappa, exact_line_search, initialise,
@@ -282,6 +282,139 @@ def test_gamma_stays_feasible_without_projection():
     assert result.stop_reason == CONVERGED
     assert abs(result.d_hat.sum() - 8) <= 1e-9 * 8
     assert np.max(np.abs(result.d_hat - 1.0)) <= 0.2 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the fused iteration against the unfused reference loop
+# ---------------------------------------------------------------------------
+
+def reference_solve(ensemble, y, config):
+    """The descent loop evaluated piece by piece: gradients, forward(xi) and
+    forward(g) for the line search, objective_value at every new point."""
+    mp = ensemble.m * ensemble.p
+    xi, gamma = initialise(ensemble, y)
+    f = objective_value(ensemble, y, (xi, gamma))
+    if config.step_mode == FIXED:
+        fixed = (config.mu, config.mu * ensemble.m / float(xi @ xi))
+    objectives, mus, recent, k = [f], [0.0], [f], 0
+    stop = CONVERGED if f < config.objective_tolerance else None
+    while stop is None:
+        if k >= config.max_iterations:
+            stop = MAX_ITERATIONS
+            break
+        if len(recent) > config.stagnation_window and (
+                recent[0] - f < config.stagnation_rtol * max(recent[0], 1e-300)):
+            stop = "stagnated"
+            break
+        previous = f
+        grads = gradients(ensemble, y, (xi, gamma))
+        g, h = grads.grad_xi, grads.grad_gamma_projected
+        if config.step_mode == LINE_SEARCH:
+            s = gamma * forward(ensemble, g)
+            t = forward(ensemble, xi) * h
+            mu_xi = mp * float(g @ g) / float(np.sum(s * s)) if g @ g > 0 else 0.0
+            mu_gamma = mp * float(h @ h) / float(np.sum(t * t)) if h @ h > 0 else 0.0
+        else:
+            mu_xi, mu_gamma = fixed
+        xi = xi - mu_xi * g
+        gamma = project_C_rho(gamma - mu_gamma * h, config.rho)
+        f = objective_value(ensemble, y, (xi, gamma))
+        k += 1
+        objectives.append(f)
+        mus.append(mu_xi)
+        recent = (recent + [f])[-(config.stagnation_window + 1):]
+        if previous < config.objective_tolerance:
+            stop = CONVERGED
+    return dict(stop=stop, iterations=k, objectives=objectives, mu_xi=mus,
+                xi=xi, gamma=gamma)
+
+
+def trajectory_instance(monkeypatch, lazy):
+    if lazy:
+        monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 0)
+    inst = draw_instance(12, 6, 6, 0.3, seed=90)
+    assert (inst.ensemble.stacked() is None) == lazy
+    return inst
+
+
+def assert_same_trajectory(result, ref, rtol):
+    assert result.stop_reason == ref["stop"]
+    assert result.iterations == ref["iterations"]
+    np.testing.assert_allclose(result.trace.objective, ref["objectives"], rtol=rtol, atol=0)
+    np.testing.assert_allclose(result.trace.mu_xi, ref["mu_xi"], rtol=rtol, atol=0)
+    np.testing.assert_allclose(result.x_hat, ref["xi"], rtol=rtol, atol=0)
+    np.testing.assert_allclose(result.d_hat, ref["gamma"], rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["cached", "lazy"])
+def test_fixed_step_trajectory_matches_reference(monkeypatch, lazy):
+    inst = trajectory_instance(monkeypatch, lazy)
+    config = SolverConfig(step_mode=FIXED, mu=2e-3, rho=0.3,
+                          objective_tolerance=1e-30, max_iterations=1000)
+    result = solve(inst.ensemble, inst.y, config)
+    ref = reference_solve(inst.ensemble, inst.y, config)
+    assert result.iterations == 1000 and ref["objectives"][-1] > 1e-8
+    assert_same_trajectory(result, ref, rtol=1e-10)
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["cached", "lazy"])
+def test_line_search_solve_matches_reference(monkeypatch, lazy):
+    inst = trajectory_instance(monkeypatch, lazy)
+    config = SolverConfig(step_mode=LINE_SEARCH, rho=0.3, objective_tolerance=1e-7)
+    result = solve(inst.ensemble, inst.y, config)
+    ref = reference_solve(inst.ensemble, inst.y, config)
+    assert result.stop_reason == CONVERGED
+    assert_same_trajectory(result, ref, rtol=1e-10)
+
+
+def test_lazy_solve_matches_cached(monkeypatch):
+    inst = draw_instance(12, 6, 6, 0.3, seed=90)
+    config = SolverConfig(step_mode=LINE_SEARCH, rho=0.3, objective_tolerance=1e-7)
+    cached = solve(inst.ensemble, inst.y, config)
+    monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 0)
+    lazy_ensemble = generate_ensemble(12, 6, 6, "gaussian", inst.ensemble.seed)
+    assert lazy_ensemble.stacked() is None
+    lazy = solve(lazy_ensemble, inst.y, config)
+    assert (lazy.stop_reason, lazy.iterations) == (cached.stop_reason, cached.iterations)
+    np.testing.assert_allclose(lazy.x_hat, cached.x_hat, rtol=1e-10)
+    np.testing.assert_allclose(lazy.d_hat, cached.d_hat, rtol=1e-10)
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["cached", "lazy"])
+def test_line_search_uses_carried_evaluation(monkeypatch, lazy):
+    inst = trajectory_instance(monkeypatch, lazy)
+    xi, gamma = initialise(inst.ensemble, inst.y)
+    bare = state_at(inst.ensemble, inst.y, xi, gamma)
+    carried = SolverState(xi, gamma, 0, bare.objective,
+                          evaluation=gradients(inst.ensemble, inst.y, (xi, gamma)))
+    steps = exact_line_search(bare, inst.ensemble, inst.y)
+
+    def no_evaluation(*args):
+        raise AssertionError("a carried evaluation was computed again")
+
+    monkeypatch.setattr("blindcal.solver.gradients", no_evaluation)
+    assert exact_line_search(carried, inst.ensemble, inst.y) == steps
+    assert steps[0] > 0.0 and steps[1] > 0.0
+
+
+def test_lazy_solve_regenerates_two_passes_per_iteration(monkeypatch):
+    inst = trajectory_instance(monkeypatch, lazy=True)
+    draws = []
+    draw = SensingEnsemble._draw
+
+    def counting_draw(self, l):
+        draws.append(l)
+        return draw(self, l)
+
+    monkeypatch.setattr(SensingEnsemble, "_draw", counting_draw)
+    config = SolverConfig(step_mode=LINE_SEARCH, rho=0.3,
+                          objective_tolerance=1e-30, max_iterations=5)
+    result = solve(inst.ensemble, inst.y, config)
+    k, p = result.iterations, inst.ensemble.p
+    assert k == 5
+    # the start: one adjoint and one evaluation; then per iteration one
+    # evaluation of the new point and the line-search image A g
+    assert len(draws) <= (2 * k + 2) * p
 
 
 # ---------------------------------------------------------------------------
