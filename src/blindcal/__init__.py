@@ -9,7 +9,7 @@ from .errors import (BlindcalError, DimensionError, DivergenceError, FormatError
                      ParameterError, SingularityError, TheoryRangeWarning)
 from .geometry import (NeighbourhoodSpec, delta, delta_F, draw_gain_perturbation,
                        in_neighbourhood, project_C_rho, project_zero_sum)
-from .model import (GroundTruth, Point, SensingEnsemble, generate_ensemble, sense)
+from .model import GroundTruth, SensingEnsemble, generate_ensemble, sense
 from .objective import (GradientPair, expected_gradients, expected_hessian,
                         expected_objective, gradients, hessian, objective_value)
 from .seeding import derive_seed
@@ -22,7 +22,7 @@ __all__ = [
     "ParameterError", "SingularityError", "TheoryRangeWarning",
     "NeighbourhoodSpec", "delta", "delta_F", "draw_gain_perturbation",
     "in_neighbourhood", "project_C_rho", "project_zero_sum",
-    "GroundTruth", "Point", "SensingEnsemble", "generate_ensemble", "sense",
+    "GroundTruth", "SensingEnsemble", "generate_ensemble", "sense",
     "GradientPair", "expected_gradients", "expected_hessian", "expected_objective",
     "gradients", "hessian", "objective_value",
     "derive_seed",

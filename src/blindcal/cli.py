@@ -11,8 +11,10 @@ is any other library error (unreadable or malformed input files, divergence,
 singular systems) or an operating-system error.
 
 Options may also come from a JSON config file (--config) whose keys match
-the flag names with dashes replaced by underscores; explicit flags override
-file values.
+the flag names with dashes replaced by underscores (``fmt`` for --format);
+explicit flags override file values. A config value is converted and
+checked as its flag's argument is: a JSON list stands for a comma-separated
+flag value, true or false for a switch, and null leaves the option unset.
 """
 
 from __future__ import annotations
@@ -43,10 +45,60 @@ def _output_dir(args) -> str:
     return out
 
 
-def _parse_values(raw, kind=float):
-    if isinstance(raw, (list, tuple)):
-        return tuple(kind(v) for v in raw)
-    return tuple(kind(v) for v in str(raw).split(",") if str(v).strip())
+def _list_of(kind):
+    """Flag type: a comma-separated list of ``kind`` values, as a tuple."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(v) for v in text.split(",") if v.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}") from None
+    return parse
+
+
+def _weights(text: str):
+    """Flag type for --theta: a name from NAMED_WEIGHTS, or float weights."""
+    return text if text in experiments.NAMED_WEIGHTS else _list_of(float)(text)
+
+
+# Every option: its name (the argparse dest and the config key) -> argparse
+# keywords. The flag is --name with dashes for underscores unless "flag" says.
+_FLAGS = dict(
+    n=dict(type=int), m=dict(type=int), p=dict(type=int), rho=dict(type=float),
+    seed=dict(type=int), tol=dict(type=float), trials=dict(type=int),
+    max_iterations=dict(type=int), mu=dict(type=float), zeta_db=dict(type=float),
+    workers=dict(type=int), out=dict(help="output directory"),
+    distribution=dict(choices=["gaussian", "rademacher"]),
+    step_mode=dict(choices=["line-search", "fixed"]),
+    fmt=dict(flag="--format", choices=["csv", "binary"]),
+    no_projection=dict(action="store_const", const=True,
+                       help="skip the C_rho projection step"),
+    full_scale=dict(action="store_const", const=True, help="run the full-scale grid (slow)"),
+    x_file=dict(help="ground-truth signal vector file"),
+    d_file=dict(help="ground-truth gain vector file"),
+    p_values=dict(type=_list_of(int), help="comma-separated snapshot counts"),
+    rho_values=dict(type=_list_of(float), help="comma-separated deviations"),
+    input=dict(help="P5/P6 netpbm image path (default: a seeded 32x32 test scene)"),
+    theta=dict(type=_weights, help="'ones', 'e1', or comma-separated weights"),
+)
+
+
+def _from_config(path, key: str, value):
+    """A config value converted and checked as the flag ``key`` would convert
+    and check the same value given on the command line."""
+    flag = _FLAGS[key]
+    if flag.get("action") == "store_const":
+        if not isinstance(value, bool):
+            raise UsageError(f"config {path}: {key} must be true or false, got {value!r}")
+        return value
+    text = ",".join(str(v) for v in value) if isinstance(value, list) else str(value)
+    if "choices" in flag and text not in flag["choices"]:
+        raise UsageError(f"config {path}: {key} must be one of {flag['choices']}, "
+                         f"got {value!r}")
+    try:
+        return flag["type"](text) if "type" in flag else text
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageError(f"config {path}: invalid {key} value {value!r}") from None
 
 
 def _merge_config(values: dict, config_path, defaults: dict) -> dict:
@@ -69,8 +121,8 @@ def _merge_config(values: dict, config_path, defaults: dict) -> dict:
     for key, default in defaults.items():
         if values.get(key) is not None:
             merged[key] = values[key]
-        elif key in config:
-            merged[key] = config[key]
+        elif config.get(key) is not None:
+            merged[key] = _from_config(config_path, key, config[key])
         else:
             merged[key] = default
     return merged
@@ -127,8 +179,8 @@ def _cmd_solve(a: dict) -> int:
 # phase-transition
 # ---------------------------------------------------------------------------
 
-_PHASE_DEFAULTS = dict(n=64, m=16, p_values="4,8,16,32,64,128,256",
-                       rho_values="1e-3,1e-2,1e-1,0.3,0.6,0.99",
+_PHASE_DEFAULTS = dict(n=64, m=16, p_values=(4, 8, 16, 32, 64, 128, 256),
+                       rho_values=(1e-3, 1e-2, 1e-1, 0.3, 0.6, 0.99),
                        trials=10, zeta_db=-70.0, seed=0, tol=1e-7,
                        max_iterations=3000, workers=1, full_scale=False,
                        out=None)
@@ -136,12 +188,11 @@ _PHASE_DEFAULTS = dict(n=64, m=16, p_values="4,8,16,32,64,128,256",
 
 def _cmd_phase_transition(a: dict) -> int:
     if a["full_scale"]:
-        a = dict(a, n=256, m=64, p_values="4,8,16,32,64,128,256,512,1024",
-                 rho_values="1e-3,1e-2,1e-1,0.3,0.6,0.99", max_iterations=20_000)
+        a = dict(a, n=256, m=64, p_values=(4, 8, 16, 32, 64, 128, 256, 512, 1024),
+                 rho_values=(1e-3, 1e-2, 1e-1, 0.3, 0.6, 0.99), max_iterations=20_000)
     out = _output_dir(a)
     spec = experiments.PhaseGridSpec(
-        n=a["n"], m=a["m"], p_values=_parse_values(a["p_values"], int),
-        rho_values=_parse_values(a["rho_values"], float),
+        n=a["n"], m=a["m"], p_values=a["p_values"], rho_values=a["rho_values"],
         trials_per_cell=a["trials"], zeta_db=a["zeta_db"], base_seed=a["seed"],
         tolerance=a["tol"], max_iterations=a["max_iterations"])
     result = experiments.run_phase_transition(spec, workers=a["workers"])
@@ -228,11 +279,8 @@ _CONC_DEFAULTS = dict(n=32, m=16, p=100, theta="ones", trials=20,
 
 def _cmd_check_concentration(a: dict) -> int:
     out = _output_dir(a)
-    theta = a["theta"]
-    if isinstance(theta, str) and theta not in experiments.NAMED_WEIGHTS:
-        theta = _parse_values(theta, float)
     stats = experiments.check_concentration(
-        a["n"], a["m"], a["p"], a["distribution"], theta, a["trials"], a["seed"])
+        a["n"], a["m"], a["p"], a["distribution"], a["theta"], a["trials"], a["seed"])
     fileio.write_report_json(os.path.join(out, "concentration.json"), {
         "max_deviation": stats["max_deviation"],
         "mean_deviation": stats["mean_deviation"],
@@ -246,14 +294,14 @@ def _cmd_check_concentration(a: dict) -> int:
 # init-study
 # ---------------------------------------------------------------------------
 
-_INIT_DEFAULTS = dict(n=32, m=16, p_values="16,32,64,128,256,512,1024",
+_INIT_DEFAULTS = dict(n=32, m=16, p_values=(16, 32, 64, 128, 256, 512, 1024),
                       trials=50, rho=0.5, seed=0, out=None)
 
 
 def _cmd_init_study(a: dict) -> int:
     out = _output_dir(a)
     result = experiments.run_init_study(
-        n=a["n"], m=a["m"], p_values=_parse_values(a["p_values"], int),
+        n=a["n"], m=a["m"], p_values=a["p_values"],
         trials=a["trials"], rho=a["rho"], base_seed=a["seed"])
     path = os.path.join(out, "init_study.csv")
     with open(path, "w", encoding="ascii") as fh:
@@ -268,17 +316,17 @@ def _cmd_init_study(a: dict) -> int:
 # parser assembly and dispatch
 # ---------------------------------------------------------------------------
 
-_COMMON_FLAGS = dict(
-    n=dict(type=int), m=dict(type=int), p=dict(type=int), rho=dict(type=float),
-    seed=dict(type=int), tol=dict(type=float), trials=dict(type=int),
-    max_iterations=dict(type=int), out=dict(help="output directory"),
-    distribution=dict(choices=["gaussian", "rademacher"]), mu=dict(type=float))
-
-
-def _add_common(sub, *names):
-    for name in names:
-        sub.add_argument("--" + name.replace("_", "-"), **_COMMON_FLAGS[name])
-    sub.add_argument("--config", help="JSON file with option values")
+# subcommand -> (handler, option defaults, help); the defaults name its flags
+_COMMANDS = {
+    "solve": (_cmd_solve, _SOLVE_DEFAULTS, "solve one synthetic or file-based instance"),
+    "phase-transition": (_cmd_phase_transition, _PHASE_DEFAULTS,
+                         "success-probability grid over (p, rho)"),
+    "demo-image": (_cmd_demo_image, _DEMO_DEFAULTS, "blind calibration of an imaging system"),
+    "rate-compare": (_cmd_rate_compare, _RATE_DEFAULTS, "line-search vs fixed-step run"),
+    "check-concentration": (_cmd_check_concentration, _CONC_DEFAULTS,
+                            "weighted covariance deviation"),
+    "init-study": (_cmd_init_study, _INIT_DEFAULTS, "initialisation proximity vs mp"),
+}
 
 
 def build_parser() -> _Parser:
@@ -286,54 +334,14 @@ def build_parser() -> _Parser:
                      description="Blind calibration of sensor gains from "
                                  "randomized linear snapshots")
     subs = parser.add_subparsers(dest="command")
-
-    sp = subs.add_parser("solve", help="solve one synthetic or file-based instance")
-    _add_common(sp, "n", "m", "p", "rho", "seed", "tol", "max_iterations",
-                "out", "distribution", "mu")
-    sp.add_argument("--step-mode", dest="step_mode",
-                    choices=["line-search", "fixed"])
-    sp.add_argument("--no-projection", dest="no_projection", action="store_const",
-                    const=True, help="skip the C_rho projection step")
-    sp.add_argument("--format", dest="fmt", choices=["csv", "binary"])
-    sp.add_argument("--x-file", dest="x_file", help="ground-truth signal vector file")
-    sp.add_argument("--d-file", dest="d_file", help="ground-truth gain vector file")
-
-    sp = subs.add_parser("phase-transition", help="success-probability grid over (p, rho)")
-    _add_common(sp, "n", "m", "seed", "tol", "trials", "max_iterations", "out")
-    sp.add_argument("--p-values", dest="p_values", help="comma-separated snapshot counts")
-    sp.add_argument("--rho-values", dest="rho_values", help="comma-separated deviations")
-    sp.add_argument("--zeta-db", dest="zeta_db", type=float)
-    sp.add_argument("--workers", type=int)
-    sp.add_argument("--full-scale", dest="full_scale", action="store_const",
-                    const=True, help="run the full-scale grid (slow)")
-
-    sp = subs.add_parser("demo-image", help="blind calibration of an imaging system")
-    _add_common(sp, "m", "p", "rho", "seed", "tol", "max_iterations", "out")
-    sp.add_argument("--input", help="P5/P6 netpbm image path "
-                                    "(default: a seeded 32x32 test scene)")
-
-    sp = subs.add_parser("rate-compare", help="line-search vs fixed-step run")
-    _add_common(sp, "n", "m", "p", "rho", "seed", "tol", "max_iterations", "out", "mu")
-
-    sp = subs.add_parser("check-concentration", help="weighted covariance deviation")
-    _add_common(sp, "n", "m", "p", "seed", "trials", "out", "distribution")
-    sp.add_argument("--theta", help="'ones', 'e1', or comma-separated weights")
-
-    sp = subs.add_parser("init-study", help="initialisation proximity vs mp")
-    _add_common(sp, "n", "m", "rho", "seed", "trials", "out")
-    sp.add_argument("--p-values", dest="p_values", help="comma-separated snapshot counts")
-
+    for command, (_, defaults, help_text) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for key in defaults:
+            kwargs = dict(_FLAGS[key])
+            sub.add_argument(kwargs.pop("flag", "--" + key.replace("_", "-")), dest=key,
+                             **kwargs)
+        sub.add_argument("--config", help="JSON file with option values")
     return parser
-
-
-_COMMANDS = {
-    "solve": (_cmd_solve, _SOLVE_DEFAULTS),
-    "phase-transition": (_cmd_phase_transition, _PHASE_DEFAULTS),
-    "demo-image": (_cmd_demo_image, _DEMO_DEFAULTS),
-    "rate-compare": (_cmd_rate_compare, _RATE_DEFAULTS),
-    "check-concentration": (_cmd_check_concentration, _CONC_DEFAULTS),
-    "init-study": (_cmd_init_study, _INIT_DEFAULTS),
-}
 
 
 def dispatch(argv=None) -> int:
@@ -342,7 +350,7 @@ def dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (see --help)")
-        handler, defaults = _COMMANDS[args.command]
+        handler, defaults, _ = _COMMANDS[args.command]
         values = vars(args)
         merged = _merge_config(values, values.get("config"), defaults)
         return handler(merged)

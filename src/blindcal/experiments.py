@@ -69,18 +69,18 @@ def draw_signal_ball(n: int, seed: int) -> np.ndarray:
     return (rng.uniform() ** (1.0 / n) / norm) * g
 
 
-def draw_smooth_signal(n: int, seed: int, modes: int = 8) -> np.ndarray:
+def draw_smooth_signal(n: int, seed: int) -> np.ndarray:
     """Smooth image-like signal with entries in [0, 1].
 
-    Random low-frequency cosine mixture rescaled to span [0, 1]; its l2 norm
-    grows like sqrt(n), matching pixel-valued imagery rather than unit-ball
-    draws.
+    Random mixture of the 8 lowest-frequency cosines rescaled to span [0, 1];
+    its l2 norm grows like sqrt(n), matching pixel-valued imagery rather than
+    unit-ball draws.
     """
     _check_signal_size(n)
     rng = np.random.default_rng(seed)
     t = np.arange(n) / n
     x = np.zeros(n)
-    for k in range(1, modes + 1):
+    for k in range(1, 9):
         x += rng.standard_normal() / k * np.cos(np.pi * k * t + rng.uniform(0, 2 * np.pi))
     lo, hi = float(x.min()), float(x.max())
     if hi == lo:
@@ -213,15 +213,16 @@ def run_phase_transition(spec: PhaseGridSpec, workers: int = 1) -> PhaseGridResu
 # Least-squares baseline (gains pinned to one)
 # ---------------------------------------------------------------------------
 
-def least_squares_baseline(ensemble, y, rtol: float = 1e-10,
-                           max_iterations: int | None = None) -> np.ndarray:
+def least_squares_baseline(ensemble, y) -> np.ndarray:
     """Minimise f(xi, 1) by conjugate gradients on the normal equations.
 
     Solves G xi = b with G = (1/mp) sum_l A_l^T A_l and b = (1/mp) sum_l
-    A_l^T y_l, matrix free, down to relative residual rtol. Underdetermined
-    systems (mp < n) and residual stagnation raise SingularityError.
+    A_l^T y_l, matrix free, down to relative residual 1e-10 within 10 n
+    iterations. Underdetermined systems (mp < n), residual stagnation and an
+    exhausted budget raise SingularityError.
     """
     n, m, p = ensemble.n, ensemble.m, ensemble.p
+    rtol, max_iterations = 1e-10, 10 * n
     scale = 1.0 / (m * p)
     b = scale * adjoint(ensemble, y)  # adjoint checks the shape of y
     if m * p < n:
@@ -233,8 +234,6 @@ def least_squares_baseline(ensemble, y, rtol: float = 1e-10,
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros(n)
-    if max_iterations is None:
-        max_iterations = 10 * n
 
     x = np.zeros(n)
     r = b.copy()

@@ -13,7 +13,9 @@ so identical data produces identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
+from typing import Iterator
 
 import numpy as np
 
@@ -22,6 +24,24 @@ from .solver import SolverTrace
 
 _MAGIC = b"BCAL"
 _VERSION = 1
+
+
+def _number(path, kind, text, what: str):
+    """kind(text), or a FormatError naming the file and the field."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise FormatError(f"{path}: bad {what} {text!r}") from None
+
+
+def _text_lines(path) -> Iterator[str]:
+    """The stripped lines of an ASCII text file, read one at a time."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            for line in fh:
+                yield line.strip()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not ASCII text ({exc.reason} at byte {exc.start})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -38,18 +58,19 @@ def write_matrix_csv(path, a):
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        parts = header.split()
-        if parts[:3] != ["#", "blindcal", "matrix"] or len(parts) != 5:
-            raise FormatError(f"{path}: bad matrix header {header!r}")
-        rows, cols = int(parts[3]), int(parts[4])
-        data = [[float(v) for v in line.strip().split(",")]
-                for line in fh if line.strip()]
-    a = np.asarray(data, dtype=float)
-    if a.shape != (rows, cols):
-        raise FormatError(f"{path}: header says {rows}x{cols}, data is {a.shape}")
-    return a
+    lines = _text_lines(path)
+    header = next(lines, "")
+    parts = header.split()
+    if parts[:3] != ["#", "blindcal", "matrix"] or len(parts) != 5:
+        raise FormatError(f"{path}: bad matrix header {header!r}")
+    rows, cols = (_number(path, int, v, "matrix dimension") for v in parts[3:])
+    data = [[_number(path, float, v, "matrix entry") for v in line.split(",")]
+            for line in lines if line]
+    widths = sorted({len(row) for row in data})
+    if len(data) != rows or widths not in ([], [cols]):
+        raise FormatError(f"{path}: header says {rows}x{cols}, data has "
+                          f"{len(data)} rows of widths {widths}")
+    return np.array(data, dtype=float).reshape(rows, cols)
 
 
 def write_vector_csv(path, v):
@@ -75,18 +96,22 @@ def write_array_binary(path, a):
 
 def read_array_binary(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        version, ndims = struct.unpack("<II", fh.read(8))
-        if version != _VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        dims = struct.unpack(f"<{ndims}Q", fh.read(8 * ndims))
-        payload = fh.read()
-    expected = 8 * int(np.prod(dims)) if dims else 8
-    if len(payload) != expected:
-        raise FormatError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        data = fh.read()
+    if data[:4] != _MAGIC:
+        raise FormatError(f"{path}: bad magic {data[:4]!r}")
+    if len(data) < 12:
+        raise FormatError(f"{path}: truncated header")
+    version, ndims = struct.unpack_from("<II", data, 4)
+    if version != _VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    start = 12 + 8 * ndims
+    if len(data) < start:
+        raise FormatError(f"{path}: truncated header ({ndims} dimensions)")
+    dims = struct.unpack_from(f"<{ndims}Q", data, 12)
+    expected = 8 * math.prod(dims)
+    if len(data) - start != expected:
+        raise FormatError(f"{path}: payload has {len(data) - start} bytes, expected {expected}")
+    return np.frombuffer(data, dtype="<f8", offset=start).reshape(dims).copy()
 
 
 def read_vector_file(path) -> np.ndarray:
@@ -131,9 +156,12 @@ def read_image(path) -> np.ndarray:
     width, pos = _read_token(data, pos)
     height, pos = _read_token(data, pos)
     maxval, pos = _read_token(data, pos)
-    width, height, maxval = int(width), int(height), int(maxval)
+    width, height, maxval = (_number(path, int, token, "netpbm header field")
+                             for token in (width, height, maxval))
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
+    if min(width, height) < 0:
+        raise FormatError(f"{path}: negative image size {width}x{height}")
     pos += 1  # single whitespace byte terminates the header
     expected = width * height * channels
     raster = data[pos:pos + expected]
@@ -161,6 +189,9 @@ def write_image(path, image):
 # ---------------------------------------------------------------------------
 
 _TRACE_COLUMNS = "iteration,f,mu_xi,mu_gamma,delta,delta_F,elapsed_seconds"
+# the SolverTrace list behind each column
+_TRACE_FIELDS = ("iteration", "objective", "mu_xi", "mu_gamma", "delta", "delta_F",
+                 "elapsed_seconds")
 
 
 def _cell(v) -> str:
@@ -182,25 +213,32 @@ def write_trace_csv(path, trace: SolverTrace):
             ]) + "\n")
 
 
+def _csv_rows(path, columns: str, kinds: tuple, what: str) -> Iterator[list]:
+    """The rows under the header ``columns``, each cell converted by its kind;
+    an empty cell becomes None where the kind is ``_optional``."""
+    lines = _text_lines(path)
+    header = next(lines, "")
+    if header != columns:
+        raise FormatError(f"{path}: bad {what} header {header!r}")
+    for line in lines:
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(kinds):
+            raise FormatError(f"{path}: bad {what} row {line!r}")
+        yield [_number(path, kind, v, f"{what} cell") for kind, v in zip(kinds, parts)]
+
+
+def _optional(text: str) -> float | None:
+    return float(text) if text else None
+
+
 def read_trace_csv(path) -> SolverTrace:
     trace = SolverTrace()
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != _TRACE_COLUMNS:
-            raise FormatError(f"{path}: bad trace header {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != 7:
-                raise FormatError(f"{path}: bad trace row {line!r}")
-            trace.iteration.append(int(parts[0]))
-            trace.objective.append(float(parts[1]))
-            trace.mu_xi.append(float(parts[2]))
-            trace.mu_gamma.append(float(parts[3]))
-            trace.delta.append(float(parts[4]) if parts[4] else None)
-            trace.delta_F.append(float(parts[5]) if parts[5] else None)
-            trace.elapsed_seconds.append(float(parts[6]))
+    kinds = (int, float, float, float, _optional, _optional, float)
+    for row in _csv_rows(path, _TRACE_COLUMNS, kinds, "trace"):
+        for column, value in zip(_TRACE_FIELDS, row):
+            getattr(trace, column).append(value)
     return trace
 
 
@@ -219,18 +257,8 @@ def write_grid_csv(path, result):
 
 
 def read_grid_csv(path) -> list[dict]:
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != _GRID_COLUMNS:
-            raise FormatError(f"{path}: bad grid header {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            p, rho, trials, successes, prob = line.strip().split(",")
-            rows.append({"p": int(p), "rho": float(rho), "trials": int(trials),
-                         "successes": int(successes), "probability": float(prob)})
-    return rows
+    rows = _csv_rows(path, _GRID_COLUMNS, (int, float, int, int, float), "grid")
+    return [dict(zip(_GRID_COLUMNS.split(","), row)) for row in rows]
 
 
 def write_report_json(path, report: dict):

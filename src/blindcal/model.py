@@ -4,12 +4,15 @@ map ``A xi`` and adjoint ``sum_l A_l^T w_l``) and the gained forward map.
 The measurement model is ``y_l = diag(d) A_l x`` for ``l = 1..p`` snapshots,
 where the ``A_l`` are independent m-by-n random matrices with i.i.d. centred
 isotropic rows and ``d`` is a fixed vector of positive per-sensor gains.
+
+Every application of the operator is one loop over ``SensingEnsemble.blocks()``,
+the one place that chooses between the cached stack and regeneration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -26,20 +29,10 @@ DISTRIBUTIONS = (GAUSSIAN, RADEMACHER)
 CACHE_LIMIT_CELLS = 1 << 25
 
 
-class Point(NamedTuple):
-    """A signal/gain iterate pair (xi, gamma)."""
-
-    xi: np.ndarray
-    gamma: np.ndarray
-
-
-def as_point(obj) -> Point:
-    """Coerce a Point, a (xi, gamma) pair, or any object with .xi/.gamma."""
-    if isinstance(obj, Point):
-        return obj
-    if isinstance(obj, (tuple, list)) and len(obj) == 2:
-        return Point(np.asarray(obj[0], dtype=float), np.asarray(obj[1], dtype=float))
-    return Point(np.asarray(obj.xi, dtype=float), np.asarray(obj.gamma, dtype=float))
+def as_point(point) -> tuple[np.ndarray, np.ndarray]:
+    """The signal/gain iterate pair (xi, gamma) as two float arrays."""
+    xi, gamma = point
+    return np.asarray(xi, dtype=float), np.asarray(gamma, dtype=float)
 
 
 def _check_vector(v, size: int, name: str) -> np.ndarray:
@@ -57,8 +50,9 @@ class SensingEnsemble:
 
     Snapshot ``l`` is drawn from ``derive_seed(seed, [("snapshot", l)])``, so
     any single matrix can be regenerated independently and deterministically.
-    Small ensembles are cached stacked as a C-contiguous (p, m, n) array, so
-    the operator can apply it as one flattened (p*m, n) matrix.
+    Ensembles of at most ``CACHE_LIMIT_CELLS`` cells are cached stacked as a
+    C-contiguous (p, m, n) array on first use; ``blocks()`` hands the
+    operator either that stack or one regenerated snapshot at a time.
     """
 
     n: int
@@ -67,6 +61,14 @@ class SensingEnsemble:
     distribution: str = GAUSSIAN
     seed: int = 0
     _cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if min(self.n, self.m, self.p) < 1:
+            raise DimensionError("n, m and p must be positive integers, got "
+                                 f"n={self.n}, m={self.m}, p={self.p}")
+        if self.distribution not in DISTRIBUTIONS:
+            raise ParameterError(f"unknown distribution {self.distribution!r}; "
+                                 f"expected one of {DISTRIBUTIONS}")
 
     @classmethod
     def from_matrices(cls, matrices) -> SensingEnsemble:
@@ -104,6 +106,18 @@ class SensingEnsemble:
         for l in range(self.p):
             yield self.matrix(l)
 
+    def blocks(self) -> Iterable[tuple[slice, np.ndarray]]:
+        """The operator's rows as (snapshot slice, (k*m, n) matrix) blocks.
+
+        A cached ensemble is one block, a view of the flattened (p*m, n)
+        stack, so each application is one BLAS call; a lazy one yields p
+        blocks, each snapshot regenerated once by ``matrix(l)``.
+        """
+        stacked = self.stacked()
+        if stacked is not None:
+            return ((slice(0, self.p), stacked.reshape(self.p * self.m, self.n)),)
+        return ((slice(l, l + 1), self.matrix(l)) for l in range(self.p))
+
 
 def generate_ensemble(n: int, m: int, p: int, distribution: str = GAUSSIAN,
                       seed: int = 0) -> SensingEnsemble:
@@ -112,48 +126,34 @@ def generate_ensemble(n: int, m: int, p: int, distribution: str = GAUSSIAN,
     Gaussian rows have standard normal entries; Rademacher rows have entries
     +-1 with equal probability. Both are centred with identity covariance.
     """
-    for name, value in (("n", n), ("m", m), ("p", p)):
-        if int(value) < 1:
-            raise DimensionError(f"{name} must be a positive integer, got {value}")
-    if distribution not in DISTRIBUTIONS:
-        raise ParameterError(
-            f"unknown distribution {distribution!r}; expected one of {DISTRIBUTIONS}")
     return SensingEnsemble(n=int(n), m=int(m), p=int(p),
                            distribution=distribution, seed=int(seed))
 
 
 # ---------------------------------------------------------------------------
-# The sensing operator: one gemv on the flattened (p*m, n) matrix when cached,
-# else one snapshot at a time.
+# The sensing operator: one matrix-vector product per block of rows
 # ---------------------------------------------------------------------------
 
 def forward(ensemble: SensingEnsemble, v) -> np.ndarray:
     """Stack of A_l @ v over snapshots, shape (p, m)."""
-    n, m, p = ensemble.n, ensemble.m, ensemble.p
     v = np.asarray(v, dtype=float)
-    if v.shape != (n,):
-        raise DimensionError(f"vector must have shape ({n},), got {v.shape}")
-    stacked = ensemble.stacked()
-    if stacked is not None:
-        return (stacked.reshape(p * m, n) @ v).reshape(p, m)
-    out = np.empty((p, m))
-    for l, a in enumerate(ensemble.iter_matrices()):
-        out[l] = a @ v
+    if v.shape != (ensemble.n,):
+        raise DimensionError(f"vector must have shape ({ensemble.n},), got {v.shape}")
+    out = np.empty((ensemble.p, ensemble.m))
+    for sl, rows in ensemble.blocks():
+        out[sl] = (rows @ v).reshape(-1, ensemble.m)
     return out
 
 
 def adjoint(ensemble: SensingEnsemble, w) -> np.ndarray:
     """sum_l A_l^T w_l for per-snapshot weights w of shape (p, m)."""
-    n, m, p = ensemble.n, ensemble.m, ensemble.p
+    p, m = ensemble.p, ensemble.m
     w = np.asarray(w, dtype=float)
     if w.shape != (p, m):
         raise DimensionError(f"weights must have shape ({p}, {m}), got {w.shape}")
-    stacked = ensemble.stacked()
-    if stacked is not None:
-        return w.reshape(p * m) @ stacked.reshape(p * m, n)
-    out = np.zeros(n)
-    for l, a in enumerate(ensemble.iter_matrices()):
-        out += a.T @ w[l]
+    out = np.zeros(ensemble.n)
+    for sl, rows in ensemble.blocks():
+        out += w[sl].reshape(-1) @ rows
     return out
 
 

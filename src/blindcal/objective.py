@@ -15,14 +15,14 @@ As p grows each quantity is an unbiased estimate of a closed form in
 verification and for the objective's Frobenius interpretation
 E f = (1 / 2m) || xi gamma^T - x* d*^T ||_F^2.
 
-``gradients`` evaluates a point in one pass over the operator and also returns
-f and the image A xi, so a caller that needs all three applies the operator
-once forward and once adjoint. On a cached ensemble both are single BLAS gemv
-calls on the flattened (p*m, n) matrix, whose summation order is the BLAS
-library's; on a lazy one each A_l is regenerated once and the adjoint sums
-the snapshots in ascending index order. For one ensemble, BLAS library and
-thread count, every result repeats bit for bit; between the cached and the
-lazy path, or between BLAS builds, results may differ in the last bits.
+``gradients`` evaluates a point in one sweep over ``ensemble.blocks()`` and
+also returns f and the image A xi: each block of rows gives its part of
+A xi, of the residual r and of A^T (gamma * r), so a lazy ensemble
+regenerates each A_l once per evaluation. The summation order follows the
+blocks: one BLAS gemv on the cached (p*m, n) stack, ascending snapshot order
+on a lazy ensemble. For one ensemble, BLAS library and thread count, every
+result repeats bit for bit; between the cached and the lazy path, or between
+BLAS builds, results may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -40,26 +40,24 @@ from .model import GroundTruth, SensingEnsemble, adjoint, as_point, forward
 HESSIAN_SIZE_LIMIT = 2048
 
 
-def _check_shapes(ensemble: SensingEnsemble, y=None, point=None):
+def _check_shapes(ensemble: SensingEnsemble, y, point):
+    """(xi, gamma, y) as float arrays, checked against the ensemble's n, m, p."""
     n, m, p = ensemble.n, ensemble.m, ensemble.p
-    if y is not None:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (p, m):
-            raise DimensionError(f"snapshots must have shape ({p}, {m}), got {y.shape}")
-    if point is not None:
-        xi, gamma = as_point(point)
-        if xi.shape != (n,):
-            raise DimensionError(f"xi must have shape ({n},), got {xi.shape}")
-        if gamma.shape != (m,):
-            raise DimensionError(f"gamma must have shape ({m},), got {gamma.shape}")
-    return n, m, p
+    y = np.asarray(y, dtype=float)
+    if y.shape != (p, m):
+        raise DimensionError(f"snapshots must have shape ({p}, {m}), got {y.shape}")
+    xi, gamma = as_point(point)
+    if xi.shape != (n,):
+        raise DimensionError(f"xi must have shape ({n},), got {xi.shape}")
+    if gamma.shape != (m,):
+        raise DimensionError(f"gamma must have shape ({m},), got {gamma.shape}")
+    return xi, gamma, y
 
 
 def objective_value(ensemble, y, point) -> float:
-    n, m, p = _check_shapes(ensemble, y, point)
-    xi, gamma = as_point(point)
-    r = gamma[None, :] * forward(ensemble, xi) - np.asarray(y, dtype=float)
-    return float(np.sum(r * r)) / (2.0 * m * p)
+    xi, gamma, y = _check_shapes(ensemble, y, point)
+    r = gamma[None, :] * forward(ensemble, xi) - y
+    return float(np.sum(r * r)) / (2.0 * ensemble.m * ensemble.p)
 
 
 @dataclass(frozen=True)
@@ -78,21 +76,14 @@ class GradientPair:
 
 
 def gradients(ensemble, y, point) -> GradientPair:
-    """Both gradient blocks, f and A xi, from one residual evaluation."""
-    n, m, p = _check_shapes(ensemble, y, point)
-    xi, gamma = as_point(point)
-    y = np.asarray(y, dtype=float)
-    if ensemble.stacked() is not None:
-        ax = forward(ensemble, xi)
-        r = gamma[None, :] * ax - y
-        back = adjoint(ensemble, gamma[None, :] * r)
-    else:
-        # one regeneration pass: A_l xi, r_l and A_l^T (gamma * r_l) share A_l
-        ax, r, back = np.empty((p, m)), np.empty((p, m)), np.zeros(n)
-        for l, a in enumerate(ensemble.iter_matrices()):
-            ax[l] = a @ xi
-            r[l] = gamma * ax[l] - y[l]
-            back += a.T @ (gamma * r[l])
+    """Both gradient blocks, f and A xi, from one sweep over the operator."""
+    xi, gamma, y = _check_shapes(ensemble, y, point)
+    n, m, p = ensemble.n, ensemble.m, ensemble.p
+    ax, r, back = np.empty((p, m)), np.empty((p, m)), np.zeros(n)
+    for sl, rows in ensemble.blocks():
+        ax[sl] = ax_b = (rows @ xi).reshape(-1, m)
+        r[sl] = r_b = gamma * ax_b - y[sl]
+        back += (gamma * r_b).reshape(-1) @ rows
     scale = 1.0 / (m * p)
     grad_gamma = scale * np.sum(ax * r, axis=0)
     return GradientPair(grad_xi=scale * back, grad_gamma=grad_gamma,
@@ -108,12 +99,11 @@ def hessian(ensemble, y, point) -> np.ndarray:
         [ A^T diag(gamma)^2 A        A^T diag(2 gamma * (A xi) - y) ]
         [ diag(...) A                diag((A xi)^2)                 ]
     """
-    n, m, p = _check_shapes(ensemble, y, point)
+    xi, gamma, y = _check_shapes(ensemble, y, point)
+    n, m, p = ensemble.n, ensemble.m, ensemble.p
     if n + m > HESSIAN_SIZE_LIMIT:
         raise DimensionError(
             f"dense Hessian limited to n + m <= {HESSIAN_SIZE_LIMIT}, got {n + m}")
-    xi, gamma = as_point(point)
-    y = np.asarray(y, dtype=float)
     h_xx = np.zeros((n, n))
     h_xg = np.zeros((n, m))
     h_gg_diag = np.zeros(m)

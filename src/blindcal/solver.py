@@ -34,7 +34,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DivergenceError, ParameterError, TheoryRangeWarning
-from .model import GroundTruth, Point, as_point
+from .model import GroundTruth
 from .objective import GradientPair, adjoint, forward, gradients
 
 LINE_SEARCH = "line_search"
@@ -47,6 +47,11 @@ STAGNATED = "stagnated"
 # Trace thinning: record every iteration up to this count, then every 10th.
 TRACE_DENSE_LIMIT = 10_000
 
+# Stagnation: stop when f fell by less than STAGNATION_RTOL (relative) over
+# the last STAGNATION_WINDOW iterations.
+STAGNATION_WINDOW = 100
+STAGNATION_RTOL = 1e-14
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -57,8 +62,6 @@ class SolverConfig:
     max_iterations: int = 100_000
     apply_C_rho_projection: bool = True
     record_trace: bool = True
-    stagnation_window: int = 100
-    stagnation_rtol: float = 1e-14
 
     def __post_init__(self):
         if self.step_mode not in (LINE_SEARCH, FIXED):
@@ -109,7 +112,7 @@ class SolverTrace:
         self.objective.append(state.objective)
         self.mu_xi.append(mu_xi)
         self.mu_gamma.append(mu_gamma)
-        point = Point(state.xi, state.gamma)
+        point = (state.xi, state.gamma)
         self.delta.append(geometry.delta(point, truth) if truth is not None else None)
         self.delta_F.append(geometry.delta_F(point, truth) if truth is not None else None)
         self.elapsed_seconds.append(elapsed)
@@ -124,13 +127,14 @@ def initialise(ensemble, y) -> tuple[np.ndarray, np.ndarray]:
     return xi0, np.ones(ensemble.m)
 
 
-def _evaluation(state, ensemble, y) -> GradientPair:
+def _evaluation(state: SolverState, ensemble, y) -> GradientPair:
     """The evaluation a state carries, else ``gradients`` at its point."""
-    carried = getattr(state, "evaluation", None)
-    return carried if carried is not None else gradients(ensemble, y, as_point(state))
+    if state.evaluation is not None:
+        return state.evaluation
+    return gradients(ensemble, y, (state.xi, state.gamma))
 
 
-def exact_line_search(state, ensemble, y) -> tuple[float, float]:
+def exact_line_search(state: SolverState, ensemble, y) -> tuple[float, float]:
     """Exact minimisers of f along the two block descent directions.
 
     For direction g in the signal block the residual moves along
@@ -140,8 +144,7 @@ def exact_line_search(state, ensemble, y) -> tuple[float, float]:
     direction (or image) yields step 0 for that block. A state that carries
     its evaluation is not evaluated again.
     """
-    return _line_search_steps(ensemble, as_point(state).gamma,
-                              _evaluation(state, ensemble, y))
+    return _line_search_steps(ensemble, state.gamma, _evaluation(state, ensemble, y))
 
 
 def _line_search_steps(ensemble, gamma, grads) -> tuple[float, float]:
@@ -248,15 +251,15 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
             if state.iteration >= config.max_iterations:
                 stop = MAX_ITERATIONS
                 break
-            if len(recent) > config.stagnation_window:
+            if len(recent) > STAGNATION_WINDOW:
                 old = recent[0]
-                if (old - state.objective) < config.stagnation_rtol * max(old, 1e-300):
+                if (old - state.objective) < STAGNATION_RTOL * max(old, 1e-300):
                     stop = STAGNATED
                     break
             previous_objective = state.objective
             state = iterate(state, config, ensemble, y, fixed_steps)
             recent.append(state.objective)
-            if len(recent) > config.stagnation_window + 1:
+            if len(recent) > STAGNATION_WINDOW + 1:
                 recent.pop(0)
             if config.record_trace and (state.iteration <= TRACE_DENSE_LIMIT
                                         or state.iteration % 10 == 0):

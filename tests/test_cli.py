@@ -114,6 +114,8 @@ def test_invalid_rho_is_usage_error(capsys):
     ["init-study", "--n", "0"],
     ["init-study", "--m", "0"],
     ["init-study", "--p-values", "8,0"],
+    ["phase-transition", "--p-values", "4,x"],
+    ["check-concentration", "--theta", "1,x"],
 ], ids=" ".join)
 def test_invalid_value_is_usage_error(tmp_path, capsys, args):
     image = tmp_path / "scene.pgm"
@@ -133,6 +135,20 @@ def test_bad_image_format_is_runtime_error(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
     assert run(["demo-image", "--input", str(path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--x-file", "{bad_csv}", "--d-file", "{good_csv}"],
+    ["demo-image", "--input", "{bad_image}"],
+], ids=["solve", "demo-image"])
+def test_malformed_input_file_is_runtime_error(tmp_path, capsys, args):
+    (tmp_path / "bad.csv").write_text("# blindcal matrix 1 2\n1,abc\n")
+    fileio.write_vector_csv(tmp_path / "good.csv", np.ones(2))
+    (tmp_path / "bad.pgm").write_bytes(b"P5\nabc 2\n255\n" + bytes(4))
+    args = [arg.format(bad_csv=tmp_path / "bad.csv", good_csv=tmp_path / "good.csv",
+                       bad_image=tmp_path / "bad.pgm") for arg in args]
+    assert run(args + ["--out", str(tmp_path / "out")]) == 2
+    assert any(line.startswith("runtime error:") for line in capsys.readouterr().err.splitlines())
 
 
 def test_demo_image_runs(tmp_path):
@@ -182,6 +198,22 @@ def test_unknown_config_key_named(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"n": 12, "bogus_key": 5}))
     assert run(["phase-transition", "--config", str(cfg_path)]) == 1
     assert "bogus_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    {"trials": "ten"},
+    {"n": 8.5},
+    {"full_scale": "no", "trials": 0},  # trials 0 keeps a regression off the full-scale grid
+    {"p_values": [2, "x"]},
+], ids=lambda c: json.dumps(c))
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, config):
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run(["phase-transition", "--config", str(cfg_path),
+                "--out", str(tmp_path / "out")]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors and next(iter(config)) in errors[0]
 
 
 def test_flags_override_config(tmp_path):

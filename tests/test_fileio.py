@@ -190,3 +190,34 @@ def test_report_json(tmp_path):
     data = json.loads(path.read_text())
     assert data["error_db"] == -61.5
     assert data["stop_reason"] == "converged"
+
+
+# ---------------------------------------------------------------------------
+# malformed content
+# ---------------------------------------------------------------------------
+
+_TRACE_HEADER = b"iteration,f,mu_xi,mu_gamma,delta,delta_F,elapsed_seconds\n"
+_GRID_HEADER = b"p,rho,trials,successes,probability\n"
+
+
+@pytest.mark.parametrize("reader,content", [
+    ("read_array_binary", b"BCAL\x01\x00"),
+    ("read_array_binary", b"BCAL\x01\x00\x00\x00\x02\x00\x00\x00" + bytes(8)),
+    ("read_matrix_csv", b"# blindcal matrix 1 x\n1\n"),
+    ("read_matrix_csv", b"# blindcal matrix 1 2\n1,abc\n"),
+    ("read_matrix_csv", b"# blindcal matrix 2 2\n1,2\n3\n"),
+    ("read_matrix_csv", b"# blindcal matrix 1 1\n\xff\n"),
+    ("read_image", b"P5\nabc 2\n255\n" + bytes(4)),
+    ("read_image", b"P5\n-2 -2\n255\n" + bytes(4)),
+    ("read_trace_csv", _TRACE_HEADER + b"0,abc,0.0,0.0,,,0.0\n"),
+    ("read_trace_csv", _TRACE_HEADER + b"0.5,1.0,0.0,0.0,,,0.0\n"),
+    ("read_grid_csv", _GRID_HEADER + b"4,0.1,10\n"),
+    ("read_grid_csv", _GRID_HEADER + b"4,0.1,ten,5,0.5\n"),
+], ids=["binary-truncated-header", "binary-truncated-dims", "csv-header-dimension",
+        "csv-cell", "csv-ragged", "csv-not-ascii", "image-width", "image-negative-size",
+        "trace-cell", "trace-iteration", "grid-row-length", "grid-cell"])
+def test_malformed_content_is_format_error(tmp_path, reader, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    with pytest.raises(FormatError):
+        getattr(fileio, reader)(path)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from blindcal.errors import DimensionError, ParameterError
-from blindcal.model import (GroundTruth, SensingEnsemble, generate_ensemble, sense)
+from blindcal.model import (GroundTruth, SensingEnsemble, adjoint, forward,
+                            generate_ensemble, sense)
 
 
 def test_generate_is_deterministic():
@@ -181,3 +182,49 @@ def test_canonical_truth_computed_once_and_read_only():
         with pytest.raises(ValueError):
             value[0] = 0.0
     np.testing.assert_array_equal(truth.x_star, (total / 4) * x)
+
+
+def test_cached_ensemble_is_one_block():
+    e = generate_ensemble(5, 4, 3, "gaussian", seed=3)
+    blocks = list(e.blocks())
+    assert len(blocks) == 1
+    sl, rows = blocks[0]
+    assert sl == slice(0, 3) and rows.shape == (12, 5)
+    assert np.shares_memory(rows, e.stacked())
+
+
+def test_lazy_ensemble_is_one_block_per_snapshot(monkeypatch):
+    monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 1)
+    e = generate_ensemble(5, 4, 3, "gaussian", seed=3)
+    draws = []
+    original = SensingEnsemble._draw
+    monkeypatch.setattr(SensingEnsemble, "_draw",
+                        lambda self, l: draws.append(l) or original(self, l))
+    blocks = list(e.blocks())
+    assert draws == [0, 1, 2]
+    assert [sl for sl, _ in blocks] == [slice(l, l + 1) for l in range(3)]
+    for l, (_, rows) in enumerate(blocks):
+        np.testing.assert_array_equal(rows, e.matrix(l))
+
+
+def test_lazy_operator_matches_cached(monkeypatch):
+    rng = np.random.default_rng(13)
+    v, w = rng.standard_normal(6), rng.standard_normal((5, 4))
+    cached = generate_ensemble(6, 4, 5, "gaussian", seed=14)
+    expected = forward(cached, v), adjoint(cached, w)
+    monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 1)
+    lazy = generate_ensemble(6, 4, 5, "gaussian", seed=14)
+    assert lazy.stacked() is None
+    np.testing.assert_allclose(forward(lazy, v), expected[0], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(adjoint(lazy, w), expected[1], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 3), (2, 0, 3), (2, 3, 0)])
+def test_from_matrices_rejects_empty_dimension(shape):
+    with pytest.raises(DimensionError):
+        SensingEnsemble.from_matrices(np.zeros(shape))
+
+
+def test_ensemble_rejects_unknown_distribution():
+    with pytest.raises(ParameterError):
+        SensingEnsemble(n=2, m=2, p=2, distribution="cauchy")

@@ -7,9 +7,9 @@ from blindcal.geometry import delta, draw_gain_perturbation, project_C_rho
 from blindcal.model import GroundTruth, SensingEnsemble, generate_ensemble, sense
 from blindcal.objective import forward, gradients, objective_value
 from blindcal.solver import (CONVERGED, FIXED, LINE_SEARCH, MAX_ITERATIONS,
-                             SolverConfig, SolverState, contraction_diagnostics,
-                             default_kappa, exact_line_search, initialise,
-                             iterate, solve)
+                             STAGNATION_RTOL, STAGNATION_WINDOW, SolverConfig,
+                             SolverState, contraction_diagnostics, default_kappa,
+                             exact_line_search, initialise, iterate, solve)
 
 
 def make_instance(n=8, m=6, p=4, rho=0.3, seed=0):
@@ -302,8 +302,8 @@ def reference_solve(ensemble, y, config):
         if k >= config.max_iterations:
             stop = MAX_ITERATIONS
             break
-        if len(recent) > config.stagnation_window and (
-                recent[0] - f < config.stagnation_rtol * max(recent[0], 1e-300)):
+        if len(recent) > STAGNATION_WINDOW and (
+                recent[0] - f < STAGNATION_RTOL * max(recent[0], 1e-300)):
             stop = "stagnated"
             break
         previous = f
@@ -322,7 +322,7 @@ def reference_solve(ensemble, y, config):
         k += 1
         objectives.append(f)
         mus.append(mu_xi)
-        recent = (recent + [f])[-(config.stagnation_window + 1):]
+        recent = (recent + [f])[-(STAGNATION_WINDOW + 1):]
         if previous < config.objective_tolerance:
             stop = CONVERGED
     return dict(stop=stop, iterations=k, objectives=objectives, mu_xi=mus,
