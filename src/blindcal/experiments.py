@@ -9,6 +9,7 @@ reproducible from (base_seed, cell index, trial index) alone.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -18,7 +19,7 @@ import numpy as np
 from . import fileio
 from .errors import BlindcalError, DimensionError, ParameterError, SingularityError
 from .geometry import draw_gain_perturbation
-from .model import GroundTruth, SensingEnsemble, generate_ensemble, sense
+from .model import GroundTruth, SensingEnsemble, check_size, generate_ensemble, sense
 from .objective import adjoint, forward
 from .seeding import derive_seed
 from .solver import (FIXED, LINE_SEARCH, SolveResult, SolverConfig, initialise, solve)
@@ -132,12 +133,17 @@ class PhaseGridSpec:
     def __post_init__(self):
         if not self.p_values or not self.rho_values:
             raise ParameterError("p_values and rho_values must be non-empty")
+        check_size(self.n, "n")
+        check_size(self.m, "m")
+        for p in self.p_values:
+            check_size(p, "p value")
         if any(p < 1 for p in self.p_values):
             raise DimensionError(f"p values must be positive, got {self.p_values}")
         if any(not 0.0 <= rho < 1.0 for rho in self.rho_values):
             raise ParameterError(f"rho values must lie in [0, 1), got {self.rho_values}")
-        if self.trials_per_cell < 1:
-            raise ParameterError("trials_per_cell must be at least 1")
+        if not isinstance(self.trials_per_cell, numbers.Integral) or self.trials_per_cell < 1:
+            raise ParameterError(
+                f"trials_per_cell must be a positive integer, got {self.trials_per_cell!r}")
         if self.zeta_db >= 0.0:
             raise ParameterError("zeta_db must be negative")
 

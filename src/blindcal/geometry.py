@@ -37,14 +37,20 @@ def project_C_rho(gamma, rho: float) -> np.ndarray:
 
         min ||e - z||^2  s.t.  sum(e) = 0,  |e_i| <= rho,
 
-    whose KKT conditions give e_i = clip(z_i - lam, -rho, rho) with the
-    multiplier lam chosen so the coordinates sum to zero. When no box
-    constraint is active, lam = mean(z) and e = z - mean(z), the projection
-    onto the zero-sum hyperplane; that case is returned directly. Otherwise
-    the map lam -> sum_i e_i(lam) is piecewise linear and non-increasing, so
-    lam is located exactly by scanning the 2m sorted breakpoints
-    {z_i -+ rho}; a bisection fallback tightens the root if the scan leaves a
-    residual above 1e-12 * m.
+    a continuous quadratic knapsack problem whose KKT conditions give
+    e_i = clip(z_i - lam, -rho, rho) with the multiplier lam chosen so the
+    coordinates sum to zero. When no box constraint is active, lam = mean(z)
+    and e = z - mean(z), the projection onto the zero-sum hyperplane; that
+    case is returned directly. Otherwise s(lam) = sum_i e_i(lam) is piecewise
+    linear and non-increasing, equal to rho*m left of every breakpoint
+    {z_i - rho, z_i + rho}. One sort of the 2m breakpoints, tagged -1 (a
+    coordinate leaves its upper bound) and +1 (it reaches its lower bound),
+    gives s everywhere: the slope right of each breakpoint is the running
+    sum of the tags and s at the breakpoints is rho*m plus the running sum
+    of slope times gap. lam is then one linear step inside the segment where
+    s crosses zero (Kiwiel, Math. Programming 2008). If the clipped sum
+    leaves a residual above 1e-12 * m (inputs of extreme magnitude), a
+    bisection on the directly evaluated clipped sum replaces lam.
 
     Returns 1 + e, which satisfies both constraints to near machine accuracy.
     """
@@ -54,64 +60,41 @@ def project_C_rho(gamma, rho: float) -> np.ndarray:
     if rho == 0.0:
         return np.ones(gamma.size)
     z = gamma - 1.0
-    e = z - z.mean()
-    if np.max(np.abs(e)) <= rho:
+    e = z - z.sum() / z.size
+    if abs(e).max() <= rho:
         return 1.0 + e
     return 1.0 + _breakpoint_projection(z, rho)
 
 
+def _clip(z: np.ndarray, lam: float, rho: float) -> np.ndarray:
+    return np.minimum(np.maximum(z - lam, -rho), rho)
+
+
 def _breakpoint_projection(z: np.ndarray, rho: float) -> np.ndarray:
     """The e = clip(z - lam, -rho, rho) summing to zero, lam found by the
-    breakpoint scan of ``project_C_rho``."""
+    one-sort slope scan of ``project_C_rho``."""
     m = z.size
-    zs = np.sort(z)
-    prefix = np.concatenate(([0.0], np.cumsum(zs)))
-
-    def sum_e(lam):
-        lam = np.atleast_1d(lam)
-        lo = np.searchsorted(zs, lam - rho, side="left")
-        hi = np.searchsorted(zs, lam + rho, side="right")
-        cnt_mid = hi - lo
-        sum_mid = prefix[hi] - prefix[lo]
-        # entries above lam + rho clip to +rho, below lam - rho clip to -rho
-        return rho * (m - hi) - rho * lo + sum_mid - lam * cnt_mid
-
-    def sum_e_scalar(lam):
-        return float(sum_e(np.array([lam]))[0])
-
-    breakpoints = np.sort(np.concatenate((z - rho, z + rho)))
-    values = sum_e(breakpoints)
-    j = int(np.searchsorted(-values, 0.0, side="left"))  # first index with value <= 0
-    if j >= breakpoints.size:
-        lam = breakpoints[-1]
-    elif values[j] == 0.0 or j == 0:
-        lam = breakpoints[j]
-    else:
-        # interpolate inside the bracketing segment; sum_e is linear there
-        left, right = breakpoints[j - 1], breakpoints[j]
-        v_left = float(values[j - 1])
-        v_right = float(values[j])
-        if v_left == v_right:
-            lam = left
-        else:
-            # the fraction lies in [0, 1] by the bracketing, so this cannot
-            # overflow even for extreme inputs
-            lam = left + (right - left) * (v_left / (v_left - v_right))
-
-    e = np.clip(z - lam, -rho, rho)
-    residual = float(np.sum(e))
-    if abs(residual) > 1e-12 * m:
-        lo_b, hi_b = float(breakpoints[0]) - 1.0, float(breakpoints[-1]) + 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo_b + hi_b)
-            if sum_e_scalar(mid) > 0.0:
-                lo_b = mid
+    points = np.concatenate((z - rho, z + rho))
+    order = points.argsort()
+    points = points[order]
+    slope = np.where(order < m, -1.0, 1.0).cumsum()  # right of each breakpoint
+    steps = np.empty(2 * m)
+    steps[0] = rho * m
+    np.subtract(points[1:], points[:-1], out=steps[1:])
+    steps[1:] *= slope[:-1]
+    sums = steps.cumsum()  # s at the breakpoints: non-increasing, sums[0] > 0
+    j = np.count_nonzero(sums > 0.0)  # first breakpoint with s <= 0
+    # s falls inside segment j - 1, so its slope there is negative
+    lam = points[-1] if j == 2 * m else points[j - 1] - sums[j - 1] / slope[j - 1]
+    e = _clip(z, lam, rho)
+    if abs(e.sum()) > 1e-12 * m:
+        lo, hi = points[0] - 1.0, points[-1] + 1.0
+        while lo < (mid := 0.5 * (lo + hi)) < hi:  # down to adjacent doubles
+            if _clip(z, mid, rho).sum() > 0.0:
+                lo = mid
             else:
-                hi_b = mid
-            if hi_b - lo_b < 1e-16 * max(1.0, abs(lam)):
-                break
-        lam = 0.5 * (lo_b + hi_b)
-        e = np.clip(z - lam, -rho, rho)
+                hi = mid
+        e = _clip(z, hi, rho)
     return e
 
 

@@ -6,11 +6,15 @@ where the ``A_l`` are independent m-by-n random matrices with i.i.d. centred
 isotropic rows and ``d`` is a fixed vector of positive per-sensor gains.
 
 Every application of the operator is one loop over ``SensingEnsemble.blocks()``,
-the one place that chooses between the cached stack and regeneration.
+the one place that chooses between the cached stack and regeneration, and
+the one place that counts operator passes. A cached ensemble builds its one
+block, the flattened (p*m, n) view of the stack, once and hands out that
+same block on every pass.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -35,6 +39,14 @@ def as_point(point) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(xi, dtype=float), np.asarray(gamma, dtype=float)
 
 
+def check_size(value, name: str) -> int:
+    """An integer problem size as an int; DimensionError for any non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DimensionError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_vector(v, size: int, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (size,):
@@ -52,7 +64,8 @@ class SensingEnsemble:
     any single matrix can be regenerated independently and deterministically.
     Ensembles of at most ``CACHE_LIMIT_CELLS`` cells are cached stacked as a
     C-contiguous (p, m, n) array on first use; ``blocks()`` hands the
-    operator either that stack or one regenerated snapshot at a time.
+    operator either that stack or one regenerated snapshot at a time, and
+    ``operator_passes`` counts its calls, one per application of the operator.
     """
 
     n: int
@@ -61,8 +74,12 @@ class SensingEnsemble:
     distribution: str = GAUSSIAN
     seed: int = 0
     _cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _blocks: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    operator_passes: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("n", "m", "p"):
+            setattr(self, name, check_size(getattr(self, name), name))
         if min(self.n, self.m, self.p) < 1:
             raise DimensionError("n, m and p must be positive integers, got "
                                  f"n={self.n}, m={self.m}, p={self.p}")
@@ -110,13 +127,17 @@ class SensingEnsemble:
         """The operator's rows as (snapshot slice, (k*m, n) matrix) blocks.
 
         A cached ensemble is one block, a view of the flattened (p*m, n)
-        stack, so each application is one BLAS call; a lazy one yields p
-        blocks, each snapshot regenerated once by ``matrix(l)``.
+        stack built on the first call, so each application is one BLAS call;
+        a lazy one yields p blocks, each snapshot regenerated once by
+        ``matrix(l)``. Every call counts one operator pass.
         """
-        stacked = self.stacked()
-        if stacked is not None:
-            return ((slice(0, self.p), stacked.reshape(self.p * self.m, self.n)),)
-        return ((slice(l, l + 1), self.matrix(l)) for l in range(self.p))
+        self.operator_passes += 1
+        if self._blocks is None:
+            stacked = self.stacked()
+            if stacked is None:
+                return ((slice(l, l + 1), self.matrix(l)) for l in range(self.p))
+            self._blocks = ((slice(0, self.p), stacked.reshape(self.p * self.m, self.n)),)
+        return self._blocks
 
 
 def generate_ensemble(n: int, m: int, p: int, distribution: str = GAUSSIAN,
@@ -126,8 +147,7 @@ def generate_ensemble(n: int, m: int, p: int, distribution: str = GAUSSIAN,
     Gaussian rows have standard normal entries; Rademacher rows have entries
     +-1 with equal probability. Both are centred with identity covariance.
     """
-    return SensingEnsemble(n=int(n), m=int(m), p=int(p),
-                           distribution=distribution, seed=int(seed))
+    return SensingEnsemble(n=n, m=m, p=p, distribution=distribution, seed=int(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +161,7 @@ def forward(ensemble: SensingEnsemble, v) -> np.ndarray:
         raise DimensionError(f"vector must have shape ({ensemble.n},), got {v.shape}")
     out = np.empty((ensemble.p, ensemble.m))
     for sl, rows in ensemble.blocks():
-        out[sl] = (rows @ v).reshape(-1, ensemble.m)
+        np.dot(rows, v, out=out[sl].reshape(-1))
     return out
 
 

@@ -81,14 +81,18 @@ def gradients(ensemble, y, point) -> GradientPair:
     n, m, p = ensemble.n, ensemble.m, ensemble.p
     ax, r, back = np.empty((p, m)), np.empty((p, m)), np.zeros(n)
     for sl, rows in ensemble.blocks():
-        ax[sl] = ax_b = (rows @ xi).reshape(-1, m)
-        r[sl] = r_b = gamma * ax_b - y[sl]
+        ax_b, r_b = ax[sl], r[sl]
+        np.dot(rows, xi, out=ax_b.reshape(-1))
+        np.multiply(gamma, ax_b, out=r_b)
+        r_b -= y[sl]
         back += (gamma * r_b).reshape(-1) @ rows
     scale = 1.0 / (m * p)
-    grad_gamma = scale * np.sum(ax * r, axis=0)
+    objective = float((r * r).sum()) / (2.0 * m * p)
+    r *= ax
+    grad_gamma = scale * r.sum(axis=0)
     return GradientPair(grad_xi=scale * back, grad_gamma=grad_gamma,
-                        grad_gamma_projected=geometry.project_zero_sum(grad_gamma),
-                        objective=float(np.sum(r * r)) / (2.0 * m * p), ax=ax)
+                        grad_gamma_projected=grad_gamma - grad_gamma.sum() / m,  # P grad_gamma
+                        objective=objective, ax=ax)
 
 
 def hessian(ensemble, y, point) -> np.ndarray:

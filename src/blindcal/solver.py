@@ -151,8 +151,8 @@ def _line_search_steps(ensemble, gamma, grads) -> tuple[float, float]:
     mp = ensemble.m * ensemble.p
     g = grads.grad_xi
     h = grads.grad_gamma_projected
-    mu_xi = _exact_step(mp * float(g @ g), lambda: gamma[None, :] * forward(ensemble, g))
-    mu_gamma = _exact_step(mp * float(h @ h), lambda: grads.ax * h[None, :])
+    mu_xi = _exact_step(mp * float(g @ g), lambda: gamma * forward(ensemble, g))
+    mu_gamma = _exact_step(mp * float(h @ h), lambda: grads.ax * h)
     return mu_xi, mu_gamma
 
 
@@ -161,7 +161,7 @@ def _exact_step(num: float, image) -> float:
     if num == 0.0:
         return 0.0
     im = image()
-    den = float(np.sum(im * im))
+    den = float((im * im).sum())
     return num / den if den > 0.0 else 0.0
 
 
@@ -188,7 +188,7 @@ def iterate(state: SolverState, config: SolverConfig, ensemble, y,
     xi_next = xi - mu_xi * grads.grad_xi
     gamma_next = gamma - mu_gamma * grads.grad_gamma_projected
     iteration = state.iteration + 1
-    if not (np.all(np.isfinite(xi_next)) and np.all(np.isfinite(gamma_next))):
+    if not (np.isfinite(xi_next).all() and np.isfinite(gamma_next).all()):
         raise DivergenceError(
             f"iterate became non-finite at iteration {iteration}", iteration)
     if config.apply_C_rho_projection:
@@ -213,6 +213,7 @@ class SolveResult:
     stop_reason: str
     iterations: int
     objective: float
+    operator_passes: int = 0  # applications of the operator, start point included
 
 
 def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -> SolveResult:
@@ -227,6 +228,7 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
     delta and delta_F of each recorded iterate.
     """
     t0 = time.perf_counter()
+    passes0 = ensemble.operator_passes
     xi0, gamma0 = initialise(ensemble, y)
     grads0 = gradients(ensemble, y, (xi0, gamma0))
     f0 = grads0.objective
@@ -273,7 +275,8 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
         trace.record(state, 0.0, 0.0, time.perf_counter() - t0, truth)
     return SolveResult(x_hat=state.xi, d_hat=state.gamma, trace=trace,
                        stop_reason=stop, iterations=state.iteration,
-                       objective=state.objective)
+                       objective=state.objective,
+                       operator_passes=ensemble.operator_passes - passes0)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,10 @@ def test_workers_match_serial():
     (dict(rho_values=(0.1, 1.5)), ParameterError),
     (dict(trials_per_cell=0), ParameterError),
     (dict(zeta_db=1.0), ParameterError),
+    (dict(n=8.5), DimensionError),
+    (dict(m=16.5), DimensionError),
+    (dict(p_values=(4, 4.5)), DimensionError),
+    (dict(trials_per_cell=2.5), ParameterError),
 ])
 def test_grid_spec_rejects_bad_values(bad, error):
     with pytest.raises(error):

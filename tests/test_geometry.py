@@ -1,11 +1,13 @@
 import itertools
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis.extra.numpy import arrays
 
+from blindcal import geometry
 from blindcal.errors import ParameterError
 from blindcal.geometry import (NeighbourhoodSpec, _breakpoint_projection, delta,
                                delta_F, draw_gain_perturbation, in_neighbourhood,
@@ -143,6 +145,101 @@ def test_projection_fast_path_matches_breakpoint_scan(u, rho, shift, spread):
     np.testing.assert_allclose(out, 1.0 + _breakpoint_projection(z, rho), rtol=0, atol=1e-12)
     assert abs(out.sum() - u.size) <= 1e-12 * u.size
     assert np.max(np.abs(out - 1.0)) <= rho + 1e-12
+
+
+def reference_breakpoint_projection(z, rho):
+    """The breakpoint scan the one-sort slope scan replaced: a sort of z with
+    prefix sums, s(lam) from two searchsorted passes at every sorted
+    breakpoint, and a bisection on that s when the residual is too large."""
+    m = z.size
+    zs = np.sort(z)
+    prefix = np.concatenate(([0.0], np.cumsum(zs)))
+
+    def sum_e(lam):
+        lam = np.atleast_1d(lam)
+        lo = np.searchsorted(zs, lam - rho, side="left")
+        hi = np.searchsorted(zs, lam + rho, side="right")
+        cnt_mid = hi - lo
+        sum_mid = prefix[hi] - prefix[lo]
+        # entries above lam + rho clip to +rho, below lam - rho clip to -rho
+        return rho * (m - hi) - rho * lo + sum_mid - lam * cnt_mid
+
+    def sum_e_scalar(lam):
+        return float(sum_e(np.array([lam]))[0])
+
+    breakpoints = np.sort(np.concatenate((z - rho, z + rho)))
+    values = sum_e(breakpoints)
+    j = int(np.searchsorted(-values, 0.0, side="left"))  # first index with value <= 0
+    if j >= breakpoints.size:
+        lam = breakpoints[-1]
+    elif values[j] == 0.0 or j == 0:
+        lam = breakpoints[j]
+    else:
+        # interpolate inside the bracketing segment; sum_e is linear there
+        left, right = breakpoints[j - 1], breakpoints[j]
+        v_left = float(values[j - 1])
+        v_right = float(values[j])
+        if v_left == v_right:
+            lam = left
+        else:
+            # the fraction lies in [0, 1] by the bracketing, so this cannot
+            # overflow even for extreme inputs
+            lam = left + (right - left) * (v_left / (v_left - v_right))
+
+    e = np.clip(z - lam, -rho, rho)
+    residual = float(np.sum(e))
+    if abs(residual) > 1e-12 * m:
+        lo_b, hi_b = float(breakpoints[0]) - 1.0, float(breakpoints[-1]) + 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo_b + hi_b)
+            if sum_e_scalar(mid) > 0.0:
+                lo_b = mid
+            else:
+                hi_b = mid
+            if hi_b - lo_b < 1e-16 * max(1.0, abs(lam)):
+                break
+        lam = 0.5 * (lo_b + hi_b)
+        e = np.clip(z - lam, -rho, rho)
+    return e
+
+
+def scan_with_clip_count(z, rho):
+    """_breakpoint_projection(z, rho) and how often it evaluated the clip:
+    once without the bisection fallback, more often with it."""
+    calls = []
+    clip = geometry._clip
+    with mock.patch.object(geometry, "_clip", lambda *args: calls.append(1) or clip(*args)):
+        e = _breakpoint_projection(z, rho)
+    return e, len(calls)
+
+
+@given(arrays(np.float64, st.integers(min_value=1, max_value=64), elements=unit_entries),
+       st.floats(min_value=1e-3, max_value=0.99), st.floats(min_value=-5.0, max_value=5.0),
+       st.floats(min_value=0.5, max_value=100.0))
+def test_slope_scan_matches_reference_scan(u, rho, shift, spread):
+    # spreads from 0.5 rho clip a few coordinates; at 100 rho most or all clip
+    z = shift + spread * rho * u
+    e, clips = scan_with_clip_count(z, rho)
+    assert clips == 1
+    np.testing.assert_allclose(e, reference_breakpoint_projection(z, rho), rtol=0, atol=1e-12)
+
+
+@given(arrays(np.float64, st.integers(min_value=2, max_value=20), elements=unit_entries),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=50, max_value=150), st.floats(min_value=1e-3, max_value=0.99))
+def test_extreme_magnitudes_take_the_bisection_fallback(u, below, above, decades, rho):
+    # a few entries of magnitude up to 1e150 among O(1) ones: the slope scan
+    # cannot resolve the 2 rho drop at a huge negative entry, so its residual
+    # fails and the bisection on the directly evaluated clipped sum takes over
+    assume(abs(above - below) < u.size)
+    big = 10.0 ** decades
+    z = np.concatenate((u, np.full(below, -big), np.full(above, big)))
+    e, clips = scan_with_clip_count(z, rho)
+    assert clips > 1
+    out = 1.0 + e
+    m = z.size
+    assert abs(out.sum() - m) <= 1e-12 * m
+    assert np.max(np.abs(out - 1.0)) <= rho + 1e-12 * m
 
 
 # ---------------------------------------------------------------------------

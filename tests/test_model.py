@@ -193,6 +193,29 @@ def test_cached_ensemble_is_one_block():
     assert np.shares_memory(rows, e.stacked())
 
 
+def test_cached_block_is_built_once_and_passes_are_counted():
+    e = generate_ensemble(5, 4, 3, "gaussian", seed=3)
+    first = e.blocks()
+    assert e.blocks() is first
+    forward(e, np.ones(5))
+    adjoint(e, np.ones((3, 4)))
+    assert e.operator_passes == 4
+
+
+@pytest.mark.parametrize("dims", [(8.5, 4, 2), (8, 4.5, 2), (8, 4, 2.5), (8.0, 4, 2)])
+def test_non_integer_dimensions_rejected(dims):
+    with pytest.raises(DimensionError):
+        generate_ensemble(*dims, "gaussian", 0)
+    n, m, p = dims
+    with pytest.raises(DimensionError):
+        SensingEnsemble(n=n, m=m, p=p)
+
+
+def test_numpy_integer_dimensions_become_int():
+    e = SensingEnsemble(n=np.int64(5), m=np.int32(4), p=np.uint8(3))
+    assert (type(e.n), type(e.m), type(e.p)) == (int, int, int)
+    assert forward(e, np.ones(5)).shape == (3, 4)
+
 def test_lazy_ensemble_is_one_block_per_snapshot(monkeypatch):
     monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 1)
     e = generate_ensemble(5, 4, 3, "gaussian", seed=3)

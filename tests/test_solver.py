@@ -417,6 +417,23 @@ def test_lazy_solve_regenerates_two_passes_per_iteration(monkeypatch):
     assert len(draws) <= (2 * k + 2) * p
 
 
+@pytest.mark.parametrize("lazy", [False, True], ids=["cached", "lazy"])
+@pytest.mark.parametrize("mode", [LINE_SEARCH, FIXED])
+def test_solve_counts_operator_passes(monkeypatch, lazy, mode):
+    inst = trajectory_instance(monkeypatch, lazy)
+    config = SolverConfig(step_mode=mode, mu=2e-3, rho=0.3,
+                          objective_tolerance=1e-30, max_iterations=6)
+    before = inst.ensemble.operator_passes
+    result = solve(inst.ensemble, inst.y, config)
+    k = result.iterations
+    assert k == 6 and min(result.trace.mu_xi[1:] + result.trace.mu_gamma[1:]) > 0.0
+    # the start: one adjoint and one evaluation; then per iteration one
+    # evaluation of the new point, plus the line-search image A g
+    expected = 2 * k + 2 if mode == LINE_SEARCH else k + 2
+    assert result.operator_passes == expected
+    assert inst.ensemble.operator_passes - before == expected
+
+
 # ---------------------------------------------------------------------------
 # contraction diagnostics
 # ---------------------------------------------------------------------------
