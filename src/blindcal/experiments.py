@@ -9,7 +9,6 @@ reproducible from (base_seed, cell index, trial index) alone.
 
 from __future__ import annotations
 
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -17,9 +16,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import fileio
-from .errors import BlindcalError, DimensionError, ParameterError, SingularityError
+from .errors import (BlindcalError, DimensionError, ParameterError, SingularityError,
+                     check_array, check_count, check_positive, check_rho, check_seed,
+                     check_size)
 from .geometry import draw_gain_perturbation
-from .model import GroundTruth, SensingEnsemble, check_size, generate_ensemble, sense
+from .model import GroundTruth, SensingEnsemble, generate_ensemble, sense
 from .objective import adjoint, forward
 from .seeding import derive_seed
 from .solver import (FIXED, LINE_SEARCH, SolveResult, SolverConfig, initialise, solve)
@@ -41,16 +42,11 @@ def recovery_error(x_hat, d_hat, truth: GroundTruth) -> float:
     return max(_relative_error(x_hat, truth.x_star), _relative_error(d_hat, truth.d_star))
 
 
-def _check_signal_size(n: int):
-    if n < 1:
-        raise DimensionError(f"n must be a positive integer, got {n}")
-
-
 def draw_gains(m: int, rho: float, seed: int) -> np.ndarray:
     """Gains on the zero-sum l-infinity sphere of radius rho, drawn from
     ``derive_seed(seed, [("gains", 0)])``; identity gains when rho = 0."""
     if rho == 0.0:
-        return np.ones(m)
+        return np.ones(check_size(m, "m"))
     return draw_gain_perturbation(m, rho, derive_seed(seed, [("gains", 0)]))
 
 
@@ -60,8 +56,8 @@ def draw_signal_ball(n: int, seed: int) -> np.ndarray:
     Gaussian direction scaled by radius U^(1/n); this is the natural reading
     of "x in the unit ball" when no distribution is stated.
     """
-    _check_signal_size(n)
-    rng = np.random.default_rng(seed)
+    n = check_size(n, "n")
+    rng = np.random.default_rng(check_seed(seed, "seed"))
     while True:
         g = rng.standard_normal(n)
         norm = float(np.linalg.norm(g))
@@ -77,8 +73,8 @@ def draw_smooth_signal(n: int, seed: int) -> np.ndarray:
     its l2 norm grows like sqrt(n), matching pixel-valued imagery rather than
     unit-ball draws.
     """
-    _check_signal_size(n)
-    rng = np.random.default_rng(seed)
+    n = check_size(n, "n")
+    rng = np.random.default_rng(check_seed(seed, "seed"))
     t = np.arange(n) / n
     x = np.zeros(n)
     for k in range(1, 9):
@@ -137,15 +133,10 @@ class PhaseGridSpec:
         check_size(self.m, "m")
         for p in self.p_values:
             check_size(p, "p value")
-        if any(p < 1 for p in self.p_values):
-            raise DimensionError(f"p values must be positive, got {self.p_values}")
-        if any(not 0.0 <= rho < 1.0 for rho in self.rho_values):
-            raise ParameterError(f"rho values must lie in [0, 1), got {self.rho_values}")
-        if not isinstance(self.trials_per_cell, numbers.Integral) or self.trials_per_cell < 1:
-            raise ParameterError(
-                f"trials_per_cell must be a positive integer, got {self.trials_per_cell!r}")
-        if self.zeta_db >= 0.0:
-            raise ParameterError("zeta_db must be negative")
+        for rho in self.rho_values:
+            check_rho(rho, "rho value")
+        check_count(self.trials_per_cell, "trials_per_cell")
+        check_positive(-self.zeta_db, "-zeta_db")  # zeta_db finite and negative
 
 
 @dataclass
@@ -193,8 +184,7 @@ def run_phase_transition(spec: PhaseGridSpec, workers: int = 1) -> PhaseGridResu
     Success means the max relative error of (x_hat, d_hat) against the
     canonical truth falls below 10^(zeta_db / 20) after a line-search solve.
     """
-    if workers < 1:
-        raise ParameterError(f"workers must be at least 1, got {workers}")
+    workers = check_count(workers, "workers")
     tasks = []
     for ip in range(len(spec.p_values)):
         for ir in range(len(spec.rho_values)):
@@ -322,8 +312,9 @@ def run_imaging_demo(image_path, m: int, p: int | None, rho: float, seed: int = 
     out_dir set, the reconstruction, the recovered gain map, and a JSON error
     report are written there.
     """
-    if m < 1:
-        raise DimensionError(f"m must be a positive integer, got {m}")
+    m = check_size(m, "m")
+    config = SolverConfig(step_mode=LINE_SEARCH, rho=rho, objective_tolerance=tol,
+                          max_iterations=max_iterations, record_trace=False)
     image = fileio.read_image(image_path)
     c, h, w = image.shape
     n = h * w
@@ -332,8 +323,6 @@ def run_imaging_demo(image_path, m: int, p: int | None, rho: float, seed: int = 
     ensemble = generate_ensemble(n, m, p, "gaussian", derive_seed(seed, [("ensemble", 0)]))
     d = draw_gains(m, rho, seed)
 
-    config = SolverConfig(step_mode=LINE_SEARCH, rho=rho, objective_tolerance=tol,
-                          max_iterations=max_iterations, record_trace=False)
     channels = []
     x_hat = np.empty_like(image)
     d_first = None
@@ -401,11 +390,8 @@ def check_concentration(n: int, m: int, p: int, distribution: str, theta,
     (zero when theta = 0). ``theta`` holds m weights or names one of
     NAMED_WEIGHTS. Returns the max and mean over trials.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be at least 1, got {trials}")
-    # ensembles are lazy, so building them all up front only validates n, m, p
-    ensembles = [generate_ensemble(n, m, p, distribution, derive_seed(seed, [("trial", t)]))
-                 for t in range(trials)]
+    trials = check_count(trials, "trials")
+    n, m = check_size(n, "n"), check_size(m, "m")
     if n > 512:
         raise DimensionError("dense eigen-computation gated to n <= 512")
     if isinstance(theta, str):
@@ -413,12 +399,12 @@ def check_concentration(n: int, m: int, p: int, distribution: str, theta,
             raise ParameterError(f"unknown weighting {theta!r}; expected weights "
                                  f"or one of {sorted(NAMED_WEIGHTS)}")
         theta = NAMED_WEIGHTS[theta](m)
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (m,):
-        raise DimensionError(f"theta must have shape ({m},), got {theta.shape}")
+    theta = check_array(theta, (m,), "theta")
     theta_inf = float(np.max(np.abs(theta)))
     deviations = []
-    for ensemble in ensembles:
+    for t in range(trials):
+        # drawn lazily, so the first trial checks p, the distribution and the seed
+        ensemble = generate_ensemble(n, m, p, distribution, derive_seed(seed, [("trial", t)]))
         if theta_inf == 0.0:
             deviations.append(0.0)
             continue
@@ -513,8 +499,7 @@ def run_init_study(n: int = 32, m: int = 16,
     Fits the regression slope of log error against log(mp); the concentration
     analysis predicts a slope near -1/2.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be at least 1, got {trials}")
+    trials = check_count(trials, "trials")
     if len(p_values) < 2:
         raise ParameterError("the slope fit needs at least two p values")
     mp_values = []

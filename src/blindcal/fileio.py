@@ -194,23 +194,17 @@ _TRACE_FIELDS = ("iteration", "objective", "mu_xi", "mu_gamma", "delta", "delta_
                  "elapsed_seconds")
 
 
-def _cell(v) -> str:
-    return "" if v is None else repr(float(v))
+def _cells(column) -> list[str]:
+    return ["" if v is None else repr(float(v)) for v in column]
 
 
 def write_trace_csv(path, trace: SolverTrace):
+    first, *rest = _TRACE_FIELDS
+    columns = [map(str, getattr(trace, first)), *(_cells(getattr(trace, f)) for f in rest)]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(_TRACE_COLUMNS + "\n")
-        for k in range(len(trace)):
-            fh.write(",".join([
-                str(trace.iteration[k]),
-                repr(float(trace.objective[k])),
-                repr(float(trace.mu_xi[k])),
-                repr(float(trace.mu_gamma[k])),
-                _cell(trace.delta[k]),
-                _cell(trace.delta_F[k]),
-                repr(float(trace.elapsed_seconds[k])),
-            ]) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(row) + "\n")
 
 
 def _csv_rows(path, columns: str, kinds: tuple, what: str) -> Iterator[list]:

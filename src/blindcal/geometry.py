@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_rho, check_seed, check_size
 from .model import GroundTruth, as_point
 
 
@@ -54,8 +54,7 @@ def project_C_rho(gamma, rho: float) -> np.ndarray:
 
     Returns 1 + e, which satisfies both constraints to near machine accuracy.
     """
-    if not 0.0 <= rho < 1.0:
-        raise ParameterError(f"rho must lie in [0, 1), got {rho}")
+    check_rho(rho)
     gamma = np.asarray(gamma, dtype=float)
     if rho == 0.0:
         return np.ones(gamma.size)
@@ -133,11 +132,11 @@ def draw_gain_perturbation(m: int, rho: float, seed: int) -> np.ndarray:
     collapse below 1e-12 in l-infinity norm are rejected and retried. The
     distribution over the constraint set is a free choice of this sampler.
     """
-    if m < 2:
+    if check_size(m, "m") < 2:
         raise ParameterError("m must be at least 2 (zero-sum sphere is empty for m=1)")
     if not 0.0 < rho < 1.0:
         raise ParameterError(f"rho must lie in (0, 1), got {rho}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed, "seed"))
     while True:
         u = rng.uniform(-1.0, 1.0, size=m)
         w = u - u.mean()
@@ -156,9 +155,8 @@ class NeighbourhoodSpec:
     x_star_norm: float
 
     def __post_init__(self):
-        if not 0.0 <= self.rho < 1.0:
-            raise ParameterError(f"rho must lie in [0, 1), got {self.rho}")
-        if self.kappa < 0.0 or self.x_star_norm < 0.0:
+        check_rho(self.rho)
+        if not (self.kappa >= 0.0 and self.x_star_norm >= 0.0):  # NaN fails
             raise ParameterError("kappa and x_star_norm must be nonnegative")
 
 

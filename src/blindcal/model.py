@@ -14,13 +14,13 @@ same block on every pass.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import (DimensionError, ParameterError, check_array, check_rho, check_seed,
+                     check_size)
 from .seeding import derive_seed
 
 GAUSSIAN = "gaussian"
@@ -37,23 +37,6 @@ def as_point(point) -> tuple[np.ndarray, np.ndarray]:
     """The signal/gain iterate pair (xi, gamma) as two float arrays."""
     xi, gamma = point
     return np.asarray(xi, dtype=float), np.asarray(gamma, dtype=float)
-
-
-def check_size(value, name: str) -> int:
-    """An integer problem size as an int; DimensionError for any non-integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DimensionError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _check_vector(v, size: int, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (size,):
-        raise DimensionError(f"{name} must have shape ({size},), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ParameterError(f"{name} contains non-finite entries")
-    return v
 
 
 @dataclass
@@ -80,9 +63,7 @@ class SensingEnsemble:
     def __post_init__(self):
         for name in ("n", "m", "p"):
             setattr(self, name, check_size(getattr(self, name), name))
-        if min(self.n, self.m, self.p) < 1:
-            raise DimensionError("n, m and p must be positive integers, got "
-                                 f"n={self.n}, m={self.m}, p={self.p}")
+        self.seed = check_seed(self.seed, "seed")
         if self.distribution not in DISTRIBUTIONS:
             raise ParameterError(f"unknown distribution {self.distribution!r}; "
                                  f"expected one of {DISTRIBUTIONS}")
@@ -147,7 +128,7 @@ def generate_ensemble(n: int, m: int, p: int, distribution: str = GAUSSIAN,
     Gaussian rows have standard normal entries; Rademacher rows have entries
     +-1 with equal probability. Both are centred with identity covariance.
     """
-    return SensingEnsemble(n=n, m=m, p=p, distribution=distribution, seed=int(seed))
+    return SensingEnsemble(n=n, m=m, p=p, distribution=distribution, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +137,7 @@ def generate_ensemble(n: int, m: int, p: int, distribution: str = GAUSSIAN,
 
 def forward(ensemble: SensingEnsemble, v) -> np.ndarray:
     """Stack of A_l @ v over snapshots, shape (p, m)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (ensemble.n,):
-        raise DimensionError(f"vector must have shape ({ensemble.n},), got {v.shape}")
+    v = check_array(v, (ensemble.n,), "vector")
     out = np.empty((ensemble.p, ensemble.m))
     for sl, rows in ensemble.blocks():
         np.dot(rows, v, out=out[sl].reshape(-1))
@@ -168,9 +147,7 @@ def forward(ensemble: SensingEnsemble, v) -> np.ndarray:
 def adjoint(ensemble: SensingEnsemble, w) -> np.ndarray:
     """sum_l A_l^T w_l for per-snapshot weights w of shape (p, m)."""
     p, m = ensemble.p, ensemble.m
-    w = np.asarray(w, dtype=float)
-    if w.shape != (p, m):
-        raise DimensionError(f"weights must have shape ({p}, {m}), got {w.shape}")
+    w = check_array(w, (p, m), "weights")
     out = np.zeros(ensemble.n)
     for sl, rows in ensemble.blocks():
         out += w[sl].reshape(-1) @ rows
@@ -183,8 +160,8 @@ def sense(ensemble: SensingEnsemble, x, d) -> np.ndarray:
     Returns the (p, m) array of measurements. Linear in x and in d; invariant
     under the rescaling (x, d) -> (x / a, a * d) for any a != 0.
     """
-    x = _check_vector(x, ensemble.n, "x")
-    d = _check_vector(d, ensemble.m, "d")
+    x = check_array(x, (ensemble.n,), "x", finite=True)
+    d = check_array(d, (ensemble.m,), "d", finite=True)
     return d[None, :] * forward(ensemble, x)
 
 
@@ -206,14 +183,11 @@ class GroundTruth:
     d_star: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=float))
-        if self.x.ndim != 1 or self.d.ndim != 1 or self.x.size == 0 or self.d.size == 0:
-            raise DimensionError("x and d must be non-empty 1-d vectors")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.d))):
-            raise ParameterError("ground truth contains non-finite entries")
-        if not 0.0 <= self.rho < 1.0:
-            raise ParameterError(f"rho must lie in [0, 1), got {self.rho}")
+        for name in ("x", "d"):  # each a non-empty finite vector
+            value = getattr(self, name)
+            size = check_size(np.size(value), f"length of {name}")
+            object.__setattr__(self, name, check_array(value, (size,), name, finite=True))
+        check_rho(self.rho)
         m = self.d.size
         if np.any(self.d <= 0.0):
             raise ParameterError("gains must be strictly positive")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import DimensionError
+from .errors import DimensionError, check_array
 # the sensing operator lives in model; forward and adjoint are re-exported here
 from .model import GroundTruth, SensingEnsemble, adjoint, as_point, forward
 
@@ -42,16 +42,9 @@ HESSIAN_SIZE_LIMIT = 2048
 
 def _check_shapes(ensemble: SensingEnsemble, y, point):
     """(xi, gamma, y) as float arrays, checked against the ensemble's n, m, p."""
-    n, m, p = ensemble.n, ensemble.m, ensemble.p
-    y = np.asarray(y, dtype=float)
-    if y.shape != (p, m):
-        raise DimensionError(f"snapshots must have shape ({p}, {m}), got {y.shape}")
-    xi, gamma = as_point(point)
-    if xi.shape != (n,):
-        raise DimensionError(f"xi must have shape ({n},), got {xi.shape}")
-    if gamma.shape != (m,):
-        raise DimensionError(f"gamma must have shape ({m},), got {gamma.shape}")
-    return xi, gamma, y
+    xi, gamma = point
+    return (check_array(xi, (ensemble.n,), "xi"), check_array(gamma, (ensemble.m,), "gamma"),
+            check_array(y, (ensemble.p, ensemble.m), "snapshots"))
 
 
 def objective_value(ensemble, y, point) -> float:

@@ -9,6 +9,8 @@ workers) without touching shared RNG state.
 import hashlib
 import struct
 
+from .errors import check_seed
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -21,15 +23,18 @@ def derive_seed(base: int, labels=()) -> int:
 
     Parameters
     ----------
-    base : unsigned 64-bit integer seed (larger ints are truncated mod 2^64)
+    base : integer seed, taken mod 2^64 (negative and larger ints wrap)
     labels : iterable of (str, int) pairs, e.g. [("cell", 3), ("trial", 7)]
+
+    A base or index that is not an integer (1.5, but also 2.0) raises
+    ParameterError rather than being truncated.
     """
-    seed = int(base) & _MASK64
+    seed = check_seed(base, "base seed") & _MASK64
     for name, index in labels:
         h = hashlib.blake2b(digest_size=8)
         h.update(struct.pack("<Q", seed))
         h.update(name.encode("utf-8"))
         h.update(b"\x00")
-        h.update(struct.pack("<Q", int(index) & _MASK64))
+        h.update(struct.pack("<Q", check_seed(index, name) & _MASK64))
         seed = int.from_bytes(h.digest(), "little")
     return seed

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .errors import DivergenceError, ParameterError, TheoryRangeWarning
+from .errors import (DivergenceError, ParameterError, TheoryRangeWarning, check_count,
+                     check_positive, check_rho)
 from .model import GroundTruth
 from .objective import GradientPair, adjoint, forward, gradients
 
@@ -66,14 +67,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.step_mode not in (LINE_SEARCH, FIXED):
             raise ParameterError(f"unknown step mode {self.step_mode!r}")
-        if self.step_mode == FIXED and (self.mu is None or self.mu <= 0):
-            raise ParameterError("fixed step mode requires mu > 0")
-        if not 0.0 <= self.rho < 1.0:
-            raise ParameterError(f"rho must lie in [0, 1), got {self.rho}")
-        if self.objective_tolerance <= 0.0:
-            raise ParameterError("objective_tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ParameterError("max_iterations must be at least 1")
+        if self.step_mode == FIXED:
+            check_positive(self.mu, "mu (fixed step mode)")
+        check_rho(self.rho)
+        check_positive(self.objective_tolerance, "objective_tolerance")
+        check_count(self.max_iterations, "max_iterations")
 
 
 @dataclass(frozen=True)
@@ -106,12 +104,11 @@ class SolverTrace:
     delta_F: list[float | None] = field(default_factory=list)
     elapsed_seconds: list[float] = field(default_factory=list)
 
-    def record(self, state: SolverState, mu_xi: float, mu_gamma: float,
-               elapsed: float, truth: GroundTruth | None):
+    def record(self, state: SolverState, elapsed: float, truth: GroundTruth | None):
         self.iteration.append(state.iteration)
         self.objective.append(state.objective)
-        self.mu_xi.append(mu_xi)
-        self.mu_gamma.append(mu_gamma)
+        self.mu_xi.append(state.mu_xi)
+        self.mu_gamma.append(state.mu_gamma)
         point = (state.xi, state.gamma)
         self.delta.append(geometry.delta(point, truth) if truth is not None else None)
         self.delta_F.append(geometry.delta_F(point, truth) if truth is not None else None)
@@ -243,7 +240,7 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
 
     trace = SolverTrace()
     if config.record_trace:
-        trace.record(state, 0.0, 0.0, time.perf_counter() - t0, truth)
+        trace.record(state, time.perf_counter() - t0, truth)
 
     recent = [f0]
     if f0 < config.objective_tolerance:
@@ -265,14 +262,13 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
                 recent.pop(0)
             if config.record_trace and (state.iteration <= TRACE_DENSE_LIMIT
                                         or state.iteration % 10 == 0):
-                trace.record(state, state.mu_xi, state.mu_gamma,
-                             time.perf_counter() - t0, truth)
+                trace.record(state, time.perf_counter() - t0, truth)
             if previous_objective < config.objective_tolerance:
                 stop = CONVERGED
                 break
 
     if config.record_trace and trace.iteration[-1] != state.iteration:
-        trace.record(state, 0.0, 0.0, time.perf_counter() - t0, truth)
+        trace.record(state, time.perf_counter() - t0, truth)
     return SolveResult(x_hat=state.xi, d_hat=state.gamma, trace=trace,
                        stop_reason=stop, iterations=state.iteration,
                        objective=state.objective,

@@ -82,6 +82,7 @@ def test_invalid_rho_is_usage_error(capsys):
 
 @pytest.mark.parametrize("args", [
     ["solve", "--tol", "0"],
+    ["solve", "--tol", "nan"],
     ["solve", "--max-iterations", "0"],
     ["solve", "--n", "0"],
     ["solve", "--m", "0"],
@@ -94,6 +95,7 @@ def test_invalid_rho_is_usage_error(capsys):
     ["phase-transition", "--trials", "0"],
     ["phase-transition", "--workers", "0"],
     ["phase-transition", "--zeta-db", "1"],
+    ["phase-transition", "--zeta-db", "nan"],
     ["demo-image", "--input", "{image}", "--m", "0"],
     ["demo-image", "--input", "{image}", "--p", "0"],
     ["demo-image", "--input", "{image}", "--rho", "1.5"],

@@ -1,0 +1,137 @@
+"""Every public entry point rejects a bad size, count, seed, rho, tolerance
+or step: DimensionError for sizes, ParameterError for everything else. Never
+a bare TypeError, and never silently (NaN included)."""
+
+import numpy as np
+import pytest
+
+from blindcal import fileio
+from blindcal.errors import (DimensionError, ParameterError, check_array,
+                             check_count, check_positive, check_rho, check_seed, check_size)
+from blindcal.experiments import (PhaseGridSpec, RateComparisonSpec, check_concentration,
+                                  draw_instance, draw_signal_ball, draw_smooth_signal,
+                                  run_imaging_demo, run_init_study, run_phase_transition,
+                                  run_rate_comparison)
+from blindcal.geometry import NeighbourhoodSpec, draw_gain_perturbation, project_C_rho
+from blindcal.model import GroundTruth, SensingEnsemble, generate_ensemble
+from blindcal.seeding import derive_seed
+from blindcal.solver import FIXED, SolverConfig
+
+NAN, INF = float("nan"), float("inf")
+
+# The error and the bad values of each kind of argument. A "list" argument
+# holds values of the kind, and gets the bad value as its second entry.
+BAD = {
+    "size": (DimensionError, (2.5, 8.0, NAN, 0)),
+    "count": (ParameterError, (2.5, NAN, 0)),
+    "seed": (ParameterError, (1.5, 2.0, NAN)),
+    "rho": (ParameterError, (1.0, -0.1, NAN)),
+    "positive": (ParameterError, (0.0, INF, NAN)),
+    "negative": (ParameterError, (0.0, -INF, NAN)),
+}
+
+
+def _scene(tmp):
+    path = tmp / "scene.pgm"
+    fileio.write_image(path, np.full((1, 2, 2), 0.5))
+    return path
+
+
+def _grid(workers=1, **spec):
+    return run_phase_transition(PhaseGridSpec(**spec), workers=workers)
+
+
+_SPEC = dict(n=4, m=2, p_values=(4,), rho_values=(0.1,), trials_per_cell=1,
+             max_iterations=5)
+
+# name, call(tmp, **kwargs), valid kwargs, {argument: kind}
+ENTRY_POINTS = [
+    ("generate_ensemble", lambda tmp, **k: generate_ensemble(**k),
+     dict(n=8, m=4, p=2, seed=0), dict(n="size", m="size", p="size", seed="seed")),
+    ("SensingEnsemble", lambda tmp, **k: SensingEnsemble(**k),
+     dict(n=8, m=4, p=2, seed=0), dict(n="size", m="size", p="size", seed="seed")),
+    ("derive_seed", lambda tmp, base, index: derive_seed(base, [("trial", index)]),
+     dict(base=0, index=0), dict(base="seed", index="seed")),
+    ("GroundTruth", lambda tmp, **k: GroundTruth(**k),
+     dict(x=np.ones(3), d=np.ones(2), rho=0.3), dict(rho="rho")),
+    ("project_C_rho", lambda tmp, **k: project_C_rho(**k),
+     dict(gamma=np.ones(3), rho=0.3), dict(rho="rho")),
+    ("NeighbourhoodSpec", lambda tmp, **k: NeighbourhoodSpec(**k),
+     dict(kappa=0.1, rho=0.3, x_star_norm=1.0), dict(rho="rho")),
+    ("SolverConfig", lambda tmp, **k: SolverConfig(**k),
+     dict(step_mode=FIXED, mu=1e-3, rho=0.3, objective_tolerance=1e-7, max_iterations=10),
+     dict(mu="positive", rho="rho", objective_tolerance="positive",
+          max_iterations="count")),
+    ("PhaseGridSpec", lambda tmp, **k: PhaseGridSpec(**k),
+     dict(_SPEC, zeta_db=-70.0), dict(n="size", m="size", p_values="size list",
+                                     rho_values="rho list", trials_per_cell="count",
+                                     zeta_db="negative")),
+    # the grid's solver settings and seed are checked where the trials use them
+    ("run_phase_transition", lambda tmp, **k: _grid(**k),
+     dict(_SPEC, workers=1, base_seed=0, tolerance=1e-7),
+     dict(workers="count", base_seed="seed", tolerance="positive", max_iterations="count")),
+    ("run_imaging_demo", lambda tmp, **k: run_imaging_demo(_scene(tmp), **k),
+     dict(m=4, p=None, rho=0.3, seed=0, tol=1e-6, max_iterations=5),
+     dict(m="size", p="size", rho="rho", seed="seed", tol="positive",
+          max_iterations="count")),
+    ("check_concentration", lambda tmp, **k: check_concentration(**k),
+     dict(n=4, m=2, p=3, distribution="gaussian", theta="ones", trials=2, seed=0),
+     dict(n="size", m="size", p="size", trials="count", seed="seed")),
+    ("run_init_study", lambda tmp, **k: run_init_study(**k),
+     dict(n=4, m=2, p_values=(4, 8), trials=1, rho=0.3, base_seed=0),
+     dict(n="size", m="size", p_values="size list", trials="count", rho="rho",
+          base_seed="seed")),
+    ("run_rate_comparison", lambda tmp, **k: run_rate_comparison(RateComparisonSpec(**k)),
+     dict(n=8, m=4, p=8, rho=0.3, seed=0, tolerance=1e-7, mu=1e-3, max_iterations=5),
+     dict(n="size", m="size", p="size", rho="rho", seed="seed", tolerance="positive",
+          mu="positive", max_iterations="count")),
+    ("draw_instance", lambda tmp, **k: draw_instance(**k),
+     dict(n=8, m=4, p=2, rho=0.3, seed=0),
+     dict(n="size", m="size", p="size", rho="rho", seed="seed")),
+    ("draw_signal_ball", lambda tmp, **k: draw_signal_ball(**k),
+     dict(n=4, seed=1), dict(n="size", seed="seed")),
+    ("draw_smooth_signal", lambda tmp, **k: draw_smooth_signal(**k),
+     dict(n=4, seed=1), dict(n="size", seed="seed")),
+    ("draw_gain_perturbation", lambda tmp, **k: draw_gain_perturbation(**k),
+     dict(m=4, rho=0.3, seed=1), dict(m="size", seed="seed")),
+]
+
+
+def _bad_cases():
+    for entry, call, valid, kinds in ENTRY_POINTS:
+        for arg, kind in kinds.items():
+            error, values = BAD[kind.split()[0]]
+            for v in values:
+                value = (valid[arg][0], v) if kind.endswith(" list") else v
+                yield pytest.param(call, dict(valid, **{arg: value}), error,
+                                   id=f"{entry}-{arg}={v!r}")
+
+
+@pytest.mark.parametrize("call, kwargs", [pytest.param(call, valid, id=entry)
+                                          for entry, call, valid, _ in ENTRY_POINTS])
+def test_entry_point_accepts_valid_arguments(tmp_path, call, kwargs):
+    call(tmp_path, **kwargs)  # so that each bad case below fails on its one bad value
+
+
+@pytest.mark.parametrize("call, kwargs, error", _bad_cases())
+def test_entry_point_rejects_bad_argument(tmp_path, call, kwargs, error):
+    with pytest.raises(error):
+        call(tmp_path, **kwargs)
+
+
+def test_checkers_return_the_computed_form():
+    assert type(check_size(np.int64(5), "n")) is int and check_size(np.uint8(3), "p") == 3
+    assert check_count(np.int32(2), "trials") == 2
+    assert check_seed(-7, "seed") == -7 and check_seed(2**70, "seed") == 2**70
+    assert check_rho(0.0) == 0.0 and check_positive(1e-300, "tol") == 1e-300
+    a = check_array([1, 2], (2,), "v")
+    assert a.dtype == float and a.shape == (2,)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_positive(None, "mu"), lambda: check_seed("1", "seed"),
+    lambda: check_count(None, "trials"), lambda: check_array([1.0, NAN], (2,), "x", finite=True),
+], ids=["positive-None", "seed-str", "count-None", "array-nan"])
+def test_checkers_raise_parameter_error_on_non_numbers(call):
+    with pytest.raises(ParameterError):
+        call()

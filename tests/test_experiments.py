@@ -86,6 +86,8 @@ def test_workers_match_serial():
     (dict(m=16.5), DimensionError),
     (dict(p_values=(4, 4.5)), DimensionError),
     (dict(trials_per_cell=2.5), ParameterError),
+    (dict(zeta_db=float("nan")), ParameterError),
+    (dict(zeta_db=float("-inf")), ParameterError),
 ])
 def test_grid_spec_rejects_bad_values(bad, error):
     with pytest.raises(error):
@@ -280,7 +282,7 @@ def test_init_study_slope():
     assert -0.65 <= result.slope <= -0.35
 
 
-@pytest.mark.parametrize("bad", [dict(trials=0), dict(p_values=(8,))])
+@pytest.mark.parametrize("bad", [dict(trials=0), dict(p_values=(8,)), dict(trials=1.5)])
 def test_init_study_rejects_bad_values(bad):
     with pytest.raises(ParameterError):
         run_init_study(**dict(dict(n=8, m=4, p_values=(8, 16), trials=2), **bad))

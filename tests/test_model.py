@@ -211,6 +211,19 @@ def test_non_integer_dimensions_rejected(dims):
         SensingEnsemble(n=n, m=m, p=p)
 
 
+def test_fractional_seed_rejected():
+    from blindcal.experiments import draw_instance
+    with pytest.raises(ParameterError):
+        generate_ensemble(8, 4, 2, seed=1.5)
+    with pytest.raises(ParameterError):
+        draw_instance(8, 4, 2, 0.3, seed=2.7)
+    # numpy and negative integers keep working; seeds wrap mod 2^64
+    np.testing.assert_array_equal(generate_ensemble(8, 4, 2, seed=np.int64(3)).stacked(),
+                                  generate_ensemble(8, 4, 2, seed=3).stacked())
+    np.testing.assert_array_equal(generate_ensemble(8, 4, 2, seed=-1).stacked(),
+                                  generate_ensemble(8, 4, 2, seed=2**64 - 1).stacked())
+
+
 def test_numpy_integer_dimensions_become_int():
     e = SensingEnsemble(n=np.int64(5), m=np.int32(4), p=np.uint8(3))
     assert (type(e.n), type(e.m), type(e.p)) == (int, int, int)

@@ -1,4 +1,5 @@
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import given
 
 from blindcal.seeding import derive_seed
@@ -33,3 +34,10 @@ def test_different_base_different_seed():
 def test_output_is_uint64(base, labels):
     out = derive_seed(base, labels)
     assert 0 <= out < 2**64
+
+
+def test_integer_types_and_wrapping():
+    labels = [("trial", 3)]
+    assert derive_seed(np.uint64(5), [("trial", np.int32(3))]) == derive_seed(5, labels)
+    assert derive_seed(-1, labels) == derive_seed(2**64 - 1, labels)
+    assert derive_seed(2**64 + 5, labels) == derive_seed(5, labels)

@@ -239,6 +239,18 @@ def test_trace_thins_after_dense_limit():
     assert ks[-1] == 120  # final state always recorded
 
 
+def test_thinned_trace_records_the_last_steps_taken(monkeypatch):
+    monkeypatch.setattr("blindcal.solver.TRACE_DENSE_LIMIT", 3)
+    inst = draw_instance(10, 4, 6, 0.1, seed=77)
+    config = SolverConfig(step_mode=FIXED, mu=1e-12, rho=0.1,
+                          objective_tolerance=1e-30, max_iterations=7)
+    trace = solve(inst.ensemble, inst.y, config).trace
+    assert trace.iteration == [0, 1, 2, 3, 7]
+    assert trace.mu_xi[0] == trace.mu_gamma[0] == 0.0  # no step before the start
+    assert trace.mu_xi[1:] == [1e-12] * 4
+    assert trace.mu_gamma[-1] == trace.mu_gamma[1] > 0.0
+
+
 def test_xi_block_line_search_monotone():
     inst = draw_instance(24, 8, 24, 0.4, seed=44)
     config = SolverConfig(step_mode=LINE_SEARCH, rho=0.4, objective_tolerance=1e-10)
