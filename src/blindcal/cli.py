@@ -11,10 +11,12 @@ is any other library error (unreadable or malformed input files, divergence,
 singular systems) or an operating-system error.
 
 Options may also come from a JSON config file (--config) whose keys match
-the flag names with dashes replaced by underscores (``fmt`` for --format);
-explicit flags override file values. A config value is converted and
-checked as its flag's argument is: a JSON list stands for a comma-separated
-flag value, true or false for a switch, and null leaves the option unset.
+the flag names with dashes replaced by underscores (``fmt`` for --format).
+Each option resolves as flag > config file > library default; the CLI has
+a default of its own only where the library function it calls has none. A
+config value is converted and checked as its flag's argument is: a JSON
+list stands for a comma-separated flag value, true or false for a switch,
+and null leaves the option unset.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import sys
 
 import numpy as np
 
-from . import experiments, fileio, solver
+from . import experiments, fileio, model, solver
 from .errors import BlindcalError, DimensionError, ParameterError
 
 
@@ -37,12 +39,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with code 2
         raise UsageError(message)
-
-
-def _output_dir(args) -> str:
-    out = args.get("out") or os.environ.get("BLINDCAL_OUTPUT_DIR") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def _list_of(kind):
@@ -68,12 +64,11 @@ _FLAGS = dict(
     seed=dict(type=int), tol=dict(type=float), trials=dict(type=int),
     max_iterations=dict(type=int), mu=dict(type=float), zeta_db=dict(type=float),
     workers=dict(type=int), out=dict(help="output directory"),
-    distribution=dict(choices=["gaussian", "rademacher"]),
-    step_mode=dict(choices=["line-search", "fixed"]),
+    distribution=dict(choices=model.DISTRIBUTIONS),
+    step_mode=dict(choices=[m.replace("_", "-") for m in (solver.LINE_SEARCH, solver.FIXED)]),
     fmt=dict(flag="--format", choices=["csv", "binary"]),
     no_projection=dict(action="store_const", const=True,
                        help="skip the C_rho projection step"),
-    full_scale=dict(action="store_const", const=True, help="run the full-scale grid (slow)"),
     x_file=dict(help="ground-truth signal vector file"),
     d_file=dict(help="ground-truth gain vector file"),
     p_values=dict(type=_list_of(int), help="comma-separated snapshot counts"),
@@ -128,34 +123,37 @@ def _merge_config(values: dict, config_path, defaults: dict) -> dict:
     return merged
 
 
+def _given(**values) -> dict:
+    """The keyword arguments that are set; an unset one takes the library's default."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
 
-_SOLVE_DEFAULTS = dict(n=64, m=16, p=64, rho=0.05, seed=0, tol=1e-7,
-                       step_mode="line-search", mu=1e-4, max_iterations=100_000,
-                       no_projection=False, distribution="gaussian",
-                       fmt="csv", x_file=None, d_file=None, out=None)
+_SOLVE_OPTIONS = dict(n=64, m=16, p=64, rho=0.05, seed=0, tol=None, step_mode="line-search",
+                      mu=1e-4, max_iterations=None, no_projection=None, distribution=None,
+                      fmt="csv", x_file=None, d_file=None, out=None)
 
 
-def _cmd_solve(a: dict) -> int:
+def _cmd_solve(a: dict, out: str) -> int:
     if bool(a["x_file"]) != bool(a["d_file"]):
         raise UsageError("provide both --x-file and --d-file")
-    out = _output_dir(a)
-    mode = solver.LINE_SEARCH if a["step_mode"] == "line-search" else solver.FIXED
+    mode = a["step_mode"].replace("-", "_")
     config = solver.SolverConfig(
-        step_mode=mode, mu=a["mu"] if mode == solver.FIXED else None,
-        rho=a["rho"], objective_tolerance=a["tol"],
-        max_iterations=a["max_iterations"],
-        apply_C_rho_projection=not a["no_projection"])
+        step_mode=mode, mu=a["mu"] if mode == solver.FIXED else None, rho=a["rho"],
+        apply_C_rho_projection=not a["no_projection"],
+        **_given(objective_tolerance=a["tol"], max_iterations=a["max_iterations"]))
 
+    distribution = _given(distribution=a["distribution"])
     if a["x_file"]:
         inst = experiments.build_instance(
             fileio.read_vector_file(a["x_file"]), fileio.read_vector_file(a["d_file"]),
-            a["rho"], a["p"], a["seed"], a["distribution"])
+            a["rho"], a["p"], a["seed"], **distribution)
     else:
-        inst = experiments.draw_instance(a["n"], a["m"], a["p"], a["rho"],
-                                         a["seed"], a["distribution"])
+        inst = experiments.draw_instance(a["n"], a["m"], a["p"], a["rho"], a["seed"],
+                                         **distribution)
     result = solver.solve(inst.ensemble, inst.y, config, truth=inst.truth)
 
     write_vec = fileio.write_vector_csv if a["fmt"] == "csv" else fileio.write_array_binary
@@ -179,23 +177,16 @@ def _cmd_solve(a: dict) -> int:
 # phase-transition
 # ---------------------------------------------------------------------------
 
-_PHASE_DEFAULTS = dict(n=64, m=16, p_values=(4, 8, 16, 32, 64, 128, 256),
-                       rho_values=(1e-3, 1e-2, 1e-1, 0.3, 0.6, 0.99),
-                       trials=10, zeta_db=-70.0, seed=0, tol=1e-7,
-                       max_iterations=3000, workers=1, full_scale=False,
-                       out=None)
+_PHASE_OPTIONS = dict.fromkeys("n m p_values rho_values trials zeta_db seed tol "
+                               "max_iterations workers out".split())
 
 
-def _cmd_phase_transition(a: dict) -> int:
-    if a["full_scale"]:
-        a = dict(a, n=256, m=64, p_values=(4, 8, 16, 32, 64, 128, 256, 512, 1024),
-                 rho_values=(1e-3, 1e-2, 1e-1, 0.3, 0.6, 0.99), max_iterations=20_000)
-    out = _output_dir(a)
-    spec = experiments.PhaseGridSpec(
+def _cmd_phase_transition(a: dict, out: str) -> int:
+    spec = experiments.PhaseGridSpec(**_given(
         n=a["n"], m=a["m"], p_values=a["p_values"], rho_values=a["rho_values"],
         trials_per_cell=a["trials"], zeta_db=a["zeta_db"], base_seed=a["seed"],
-        tolerance=a["tol"], max_iterations=a["max_iterations"])
-    result = experiments.run_phase_transition(spec, workers=a["workers"])
+        tolerance=a["tol"], max_iterations=a["max_iterations"]))
+    result = experiments.run_phase_transition(spec, **_given(workers=a["workers"]))
     path = os.path.join(out, "phase_grid.csv")
     fileio.write_grid_csv(path, result)
     print(f"phase-transition: wrote {path}")
@@ -210,8 +201,8 @@ def _cmd_phase_transition(a: dict) -> int:
 # demo-image
 # ---------------------------------------------------------------------------
 
-_DEMO_DEFAULTS = dict(input=None, m=64, p=None, rho=0.99, seed=0, tol=1e-6,
-                      max_iterations=100_000, out=None)
+_DEMO_OPTIONS = dict(input=None, m=64, p=None, rho=0.99, seed=None, tol=None,
+                     max_iterations=None, out=None)
 
 
 def _write_test_scene(path, side=32, seed=707):
@@ -223,16 +214,15 @@ def _write_test_scene(path, side=32, seed=707):
     fileio.write_image(path, np.clip(field, 0.0, 1.0)[None, :, :])
 
 
-def _cmd_demo_image(a: dict) -> int:
-    out = _output_dir(a)
+def _cmd_demo_image(a: dict, out: str) -> int:
     image_path = a["input"]
     if image_path is None:
         image_path = os.path.join(out, "scene.pgm")
         _write_test_scene(image_path)
         print(f"demo-image: wrote the test scene {image_path}")
     report = experiments.run_imaging_demo(
-        image_path, m=a["m"], p=a["p"], rho=a["rho"], seed=a["seed"], tol=a["tol"],
-        max_iterations=a["max_iterations"], out_dir=out)
+        image_path, m=a["m"], p=a["p"], rho=a["rho"], out_dir=out,
+        **_given(seed=a["seed"], tol=a["tol"], max_iterations=a["max_iterations"]))
     print(f"demo-image: blind error = {report.error_db:.2f} dB, "
           f"LS baseline = {report.ls_error_db:.2f} dB "
           f"({report.iterations} iterations, {report.stop_reason})")
@@ -243,15 +233,13 @@ def _cmd_demo_image(a: dict) -> int:
 # rate-compare
 # ---------------------------------------------------------------------------
 
-_RATE_DEFAULTS = dict(n=64, m=16, p=64, rho=0.5, seed=0, tol=1e-7, mu=1e-4,
-                      max_iterations=400_000, out=None)
+_RATE_OPTIONS = dict.fromkeys("n m p rho seed tol mu max_iterations out".split())
 
 
-def _cmd_rate_compare(a: dict) -> int:
-    out = _output_dir(a)
-    spec = experiments.RateComparisonSpec(
+def _cmd_rate_compare(a: dict, out: str) -> int:
+    spec = experiments.RateComparisonSpec(**_given(
         n=a["n"], m=a["m"], p=a["p"], rho=a["rho"], seed=a["seed"],
-        tolerance=a["tol"], mu=a["mu"], max_iterations=a["max_iterations"])
+        tolerance=a["tol"], mu=a["mu"], max_iterations=a["max_iterations"]))
     result = experiments.run_rate_comparison(spec)
     fileio.write_trace_csv(os.path.join(out, "trace_line_search.csv"),
                            result.line_search.trace)
@@ -273,14 +261,14 @@ def _cmd_rate_compare(a: dict) -> int:
 # check-concentration
 # ---------------------------------------------------------------------------
 
-_CONC_DEFAULTS = dict(n=32, m=16, p=100, theta="ones", trials=20,
-                      distribution="gaussian", seed=0, out=None)
+_CONC_OPTIONS = dict(n=32, m=16, p=100, theta="ones", trials=20, distribution=model.GAUSSIAN,
+                     seed=None, out=None)
 
 
-def _cmd_check_concentration(a: dict) -> int:
-    out = _output_dir(a)
+def _cmd_check_concentration(a: dict, out: str) -> int:
     stats = experiments.check_concentration(
-        a["n"], a["m"], a["p"], a["distribution"], a["theta"], a["trials"], a["seed"])
+        a["n"], a["m"], a["p"], a["distribution"], a["theta"], a["trials"],
+        **_given(seed=a["seed"]))
     fileio.write_report_json(os.path.join(out, "concentration.json"), {
         "max_deviation": stats["max_deviation"],
         "mean_deviation": stats["mean_deviation"],
@@ -294,20 +282,17 @@ def _cmd_check_concentration(a: dict) -> int:
 # init-study
 # ---------------------------------------------------------------------------
 
-_INIT_DEFAULTS = dict(n=32, m=16, p_values=(16, 32, 64, 128, 256, 512, 1024),
-                      trials=50, rho=0.5, seed=0, out=None)
+_INIT_OPTIONS = dict.fromkeys("n m p_values trials rho seed out".split())
 
 
-def _cmd_init_study(a: dict) -> int:
-    out = _output_dir(a)
-    result = experiments.run_init_study(
-        n=a["n"], m=a["m"], p_values=a["p_values"],
-        trials=a["trials"], rho=a["rho"], base_seed=a["seed"])
+def _cmd_init_study(a: dict, out: str) -> int:
+    result = experiments.run_init_study(**_given(
+        n=a["n"], m=a["m"], p_values=a["p_values"], trials=a["trials"], rho=a["rho"],
+        base_seed=a["seed"]))
     path = os.path.join(out, "init_study.csv")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("mp,mean_relative_error\n")
-        for mp, err in zip(result.mp_values, result.mean_relative_error):
-            fh.write(f"{mp},{err!r}\n")
+    fileio.write_csv(path, "mp,mean_relative_error",
+                     ((str(mp), repr(err))
+                      for mp, err in zip(result.mp_values, result.mean_relative_error)))
     print(f"init-study: slope = {result.slope:.3f} (wrote {path})")
     return 0
 
@@ -316,16 +301,17 @@ def _cmd_init_study(a: dict) -> int:
 # parser assembly and dispatch
 # ---------------------------------------------------------------------------
 
-# subcommand -> (handler, option defaults, help); the defaults name its flags
+# subcommand -> (handler, options, help); the options name its flags and hold
+# their defaults, None where the library function called has its own
 _COMMANDS = {
-    "solve": (_cmd_solve, _SOLVE_DEFAULTS, "solve one synthetic or file-based instance"),
-    "phase-transition": (_cmd_phase_transition, _PHASE_DEFAULTS,
+    "solve": (_cmd_solve, _SOLVE_OPTIONS, "solve one synthetic or file-based instance"),
+    "phase-transition": (_cmd_phase_transition, _PHASE_OPTIONS,
                          "success-probability grid over (p, rho)"),
-    "demo-image": (_cmd_demo_image, _DEMO_DEFAULTS, "blind calibration of an imaging system"),
-    "rate-compare": (_cmd_rate_compare, _RATE_DEFAULTS, "line-search vs fixed-step run"),
-    "check-concentration": (_cmd_check_concentration, _CONC_DEFAULTS,
+    "demo-image": (_cmd_demo_image, _DEMO_OPTIONS, "blind calibration of an imaging system"),
+    "rate-compare": (_cmd_rate_compare, _RATE_OPTIONS, "line-search vs fixed-step run"),
+    "check-concentration": (_cmd_check_concentration, _CONC_OPTIONS,
                             "weighted covariance deviation"),
-    "init-study": (_cmd_init_study, _INIT_DEFAULTS, "initialisation proximity vs mp"),
+    "init-study": (_cmd_init_study, _INIT_OPTIONS, "initialisation proximity vs mp"),
 }
 
 
@@ -334,9 +320,9 @@ def build_parser() -> _Parser:
                      description="Blind calibration of sensor gains from "
                                  "randomized linear snapshots")
     subs = parser.add_subparsers(dest="command")
-    for command, (_, defaults, help_text) in _COMMANDS.items():
+    for command, (_, options, help_text) in _COMMANDS.items():
         sub = subs.add_parser(command, help=help_text)
-        for key in defaults:
+        for key in options:
             kwargs = dict(_FLAGS[key])
             sub.add_argument(kwargs.pop("flag", "--" + key.replace("_", "-")), dest=key,
                              **kwargs)
@@ -350,10 +336,12 @@ def dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (see --help)")
-        handler, defaults, _ = _COMMANDS[args.command]
+        handler, options, _ = _COMMANDS[args.command]
         values = vars(args)
-        merged = _merge_config(values, values.get("config"), defaults)
-        return handler(merged)
+        merged = _merge_config(values, values.get("config"), options)
+        out = merged.pop("out") or os.environ.get("BLINDCAL_OUTPUT_DIR") or "."
+        os.makedirs(out, exist_ok=True)
+        return handler(merged, out)
     except (UsageError, ParameterError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,13 +17,13 @@ import numpy as np
 
 from . import fileio
 from .errors import (BlindcalError, DimensionError, ParameterError, SingularityError,
-                     check_array, check_count, check_positive, check_rho, check_seed,
-                     check_size)
+                     check_array, check_count, check_positive, check_rho, check_size)
 from .geometry import draw_gain_perturbation
 from .model import GroundTruth, SensingEnsemble, generate_ensemble, sense
 from .objective import adjoint, forward
 from .seeding import derive_seed
-from .solver import (FIXED, LINE_SEARCH, SolveResult, SolverConfig, initialise, solve)
+from .solver import (CONVERGED, FIXED, LINE_SEARCH, SolveResult, SolverConfig, initialise,
+                     solve)
 
 
 def to_db(ratio: float) -> float:
@@ -57,7 +57,7 @@ def draw_signal_ball(n: int, seed: int) -> np.ndarray:
     of "x in the unit ball" when no distribution is stated.
     """
     n = check_size(n, "n")
-    rng = np.random.default_rng(check_seed(seed, "seed"))
+    rng = np.random.default_rng(derive_seed(seed))
     while True:
         g = rng.standard_normal(n)
         norm = float(np.linalg.norm(g))
@@ -74,7 +74,7 @@ def draw_smooth_signal(n: int, seed: int) -> np.ndarray:
     unit-ball draws.
     """
     n = check_size(n, "n")
-    rng = np.random.default_rng(check_seed(seed, "seed"))
+    rng = np.random.default_rng(derive_seed(seed))
     t = np.arange(n) / n
     x = np.zeros(n)
     for k in range(1, 9):
@@ -305,7 +305,8 @@ def run_imaging_demo(image_path, m: int, p: int | None, rho: float, seed: int = 
     """Blind calibration of an m-sensor array imaging a fixed picture.
 
     Each colour channel is flattened to a signal of length n = h * w and
-    sensed through one shared ensemble and one shared gain profile of
+    sensed by :func:`build_instance` through the ensemble of ``seed`` (so
+    every channel sees the same matrices) and one shared gain profile of
     maximum deviation rho; p = None takes mp = 2n snapshots. Channels are
     solved independently; the baseline fixes the gains to one and solves the
     resulting least-squares problem, fully absorbing the model error. With
@@ -320,32 +321,30 @@ def run_imaging_demo(image_path, m: int, p: int | None, rho: float, seed: int = 
     n = h * w
     if p is None:
         p = max(1, int(round(2 * n / m)))
-    ensemble = generate_ensemble(n, m, p, "gaussian", derive_seed(seed, [("ensemble", 0)]))
     d = draw_gains(m, rho, seed)
 
     channels = []
     x_hat = np.empty_like(image)
     d_first = None
     for ci in range(c):
-        x = image[ci].ravel()
-        truth = GroundTruth(x=x, d=d, rho=rho)
-        y = sense(ensemble, x, d)
-        result = solve(ensemble, y, config, truth=truth)
-        x_ls = least_squares_baseline(ensemble, y)
+        inst = build_instance(image[ci].ravel(), d, rho, p, seed)
+        result = solve(inst.ensemble, inst.y, config, truth=inst.truth)
+        x_ls = least_squares_baseline(inst.ensemble, inst.y)
         channels.append(ChannelReport(
-            signal_error_db=to_db(_relative_error(result.x_hat, truth.x_star)),
-            gain_error_db=to_db(_relative_error(result.d_hat, truth.d_star)),
-            ls_error_db=to_db(_relative_error(x_ls, truth.x_star)),
+            signal_error_db=to_db(_relative_error(result.x_hat, inst.truth.x_star)),
+            gain_error_db=to_db(_relative_error(result.d_hat, inst.truth.d_star)),
+            ls_error_db=to_db(_relative_error(x_ls, inst.truth.x_star)),
             iterations=result.iterations, stop_reason=result.stop_reason))
         x_hat[ci] = result.x_hat.reshape(h, w)
         if d_first is None:
             d_first = result.d_hat
+        del inst  # free this channel's ensemble before the next one is drawn
 
     error_db = max(max(ch.signal_error_db, ch.gain_error_db) for ch in channels)
     ls_error_db = max(ch.ls_error_db for ch in channels)
-    stop = "converged"
+    stop = CONVERGED
     for ch in channels:
-        if ch.stop_reason != "converged":
+        if ch.stop_reason != CONVERGED:
             stop = ch.stop_reason
     report = DemoReport(error_db=error_db, ls_error_db=ls_error_db,
                         iterations=max(ch.iterations for ch in channels),

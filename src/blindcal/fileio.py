@@ -6,8 +6,10 @@ version (= 1), u32 ndims, then ndims u64 dimensions, followed by the payload
 as little-endian 64-bit floats in C order. Images are binary netpbm, P5
 (grayscale) or P6 (colour), 8-bit with maxval 255, mapped to floats in [0, 1].
 
-Floats in text formats are written with ``repr`` (shortest round-trip form),
-so identical data produces identical bytes.
+Every CSV file is a header line, then one line of comma-joined cells per
+row, written by :func:`write_csv`. Floats in text formats are written with
+``repr`` (shortest round-trip form), so identical data produces identical
+bytes.
 """
 
 from __future__ import annotations
@@ -48,13 +50,17 @@ def _text_lines(path) -> Iterator[str]:
 # CSV vectors and matrices
 # ---------------------------------------------------------------------------
 
+def write_csv(path, header: str, rows):
+    """Write the header line, then one line per row of cell strings joined by commas."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join([header, *map(",".join, rows)]) + "\n")
+
+
 def write_matrix_csv(path, a):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     rows, cols = a.shape
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# blindcal matrix {rows} {cols}\n")
-        for row in a:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(path, f"# blindcal matrix {rows} {cols}",
+              ([repr(float(v)) for v in row] for row in a))
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -201,10 +207,7 @@ def _cells(column) -> list[str]:
 def write_trace_csv(path, trace: SolverTrace):
     first, *rest = _TRACE_FIELDS
     columns = [map(str, getattr(trace, first)), *(_cells(getattr(trace, f)) for f in rest)]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_TRACE_COLUMNS + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(row) + "\n")
+    write_csv(path, _TRACE_COLUMNS, zip(*columns))
 
 
 def _csv_rows(path, columns: str, kinds: tuple, what: str) -> Iterator[list]:
@@ -241,13 +244,11 @@ _GRID_COLUMNS = "p,rho,trials,successes,probability"
 
 def write_grid_csv(path, result):
     spec = result.spec
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_GRID_COLUMNS + "\n")
-        for ip, p in enumerate(spec.p_values):
-            for ir, rho in enumerate(spec.rho_values):
-                prob = float(result.success_probability[ip, ir])
-                successes = int(round(prob * spec.trials_per_cell))
-                fh.write(f"{p},{rho!r},{spec.trials_per_cell},{successes},{prob!r}\n")
+    trials = spec.trials_per_cell
+    write_csv(path, _GRID_COLUMNS, (
+        (str(p), repr(rho), str(trials), str(round(prob * trials)), repr(prob))
+        for p, row in zip(spec.p_values, result.success_probability.tolist())
+        for rho, prob in zip(spec.rho_values, row)))
 
 
 def read_grid_csv(path) -> list[dict]:

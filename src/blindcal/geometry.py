@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_rho, check_seed, check_size
+from .errors import ParameterError, check_rho, check_size
 from .model import GroundTruth, as_point
+from .seeding import derive_seed
 
 
 def project_zero_sum(v) -> np.ndarray:
@@ -136,7 +137,7 @@ def draw_gain_perturbation(m: int, rho: float, seed: int) -> np.ndarray:
         raise ParameterError("m must be at least 2 (zero-sum sphere is empty for m=1)")
     if not 0.0 < rho < 1.0:
         raise ParameterError(f"rho must lie in (0, 1), got {rho}")
-    rng = np.random.default_rng(check_seed(seed, "seed"))
+    rng = np.random.default_rng(derive_seed(seed))
     while True:
         u = rng.uniform(-1.0, 1.0, size=m)
         w = u - u.mean()

@@ -1,10 +1,13 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from blindcal import fileio
+from blindcal import experiments, fileio
 from blindcal.cli import dispatch
+from blindcal.errors import BlindcalError
+from blindcal.experiments import PhaseGridSpec, RateComparisonSpec
 
 
 def run(args):
@@ -285,3 +288,84 @@ def test_solve_deterministic_across_runs(tmp_path):
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
     assert _read_trace_without_time(out1 / "trace.csv") == \
         _read_trace_without_time(out2 / "trace.csv")
+
+
+# ---------------------------------------------------------------------------
+# option resolution: flag > config file > library default
+# ---------------------------------------------------------------------------
+
+class _Captured(BlindcalError):
+    """Raised by the stand-in drivers below once they have recorded their call."""
+
+
+@pytest.fixture
+def driver_calls(monkeypatch):
+    """Replace the experiment drivers by stand-ins that record their arguments
+    and stop the subcommand (which then exits 2) before it does any work."""
+    calls = {}
+
+    def stand_in(name):
+        def record(*args, **kwargs):
+            calls[name] = (args, kwargs)
+            raise _Captured(name)
+        return record
+
+    for name in ("run_phase_transition", "run_rate_comparison", "run_init_study",
+                 "run_imaging_demo"):
+        monkeypatch.setattr(experiments, name, stand_in(name))
+    return calls
+
+
+def _resolve(tmp_path, args, config=None):
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        args = args + ["--config", str(tmp_path / "config.json")]
+    assert run(args + ["--out", str(tmp_path / "out")]) == 2
+
+
+def test_no_flags_take_the_library_defaults(tmp_path, driver_calls):
+    for command in ("phase-transition", "rate-compare", "init-study", "demo-image"):
+        _resolve(tmp_path, [command])
+    assert driver_calls["run_phase_transition"] == ((PhaseGridSpec(),), {})
+    assert driver_calls["run_rate_comparison"] == ((RateComparisonSpec(),), {})
+    assert driver_calls["run_init_study"] == ((), {})
+    args, kwargs = driver_calls["run_imaging_demo"]
+    assert args == (str(tmp_path / "out" / "scene.pgm"),)
+    assert kwargs == dict(m=64, p=None, rho=0.99, out_dir=str(tmp_path / "out"))
+
+
+@pytest.mark.parametrize("command, config, driver, expected", [
+    ("phase-transition", {"trials": 3}, "run_phase_transition",
+     ((PhaseGridSpec(trials_per_cell=3),), {})),
+    ("phase-transition", {"workers": 2}, "run_phase_transition", ((PhaseGridSpec(),),
+                                                                  {"workers": 2})),
+    ("rate-compare", {"mu": 1e-3}, "run_rate_comparison",
+     ((RateComparisonSpec(mu=1e-3),), {})),
+    ("init-study", {"rho": 0.3}, "run_init_study", ((), {"rho": 0.3})),
+], ids=["phase-transition-trials", "phase-transition-workers", "rate-compare-mu",
+        "init-study-rho"])
+def test_one_config_key_changes_only_that_option(tmp_path, driver_calls, command, config,
+                                                 driver, expected):
+    _resolve(tmp_path, [command], config)
+    assert driver_calls[driver] == expected
+
+
+def test_one_config_key_changes_only_that_demo_option(tmp_path, driver_calls):
+    _resolve(tmp_path, ["demo-image"], {"seed": 5})
+    _, kwargs = driver_calls["run_imaging_demo"]
+    assert kwargs == dict(m=64, p=None, rho=0.99, seed=5, out_dir=str(tmp_path / "out"))
+
+
+# The full-scale grid, as a config file (see the README).
+FULL_SCALE = {"n": 256, "m": 64, "p_values": [4, 8, 16, 32, 64, 128, 256, 512, 1024],
+              "max_iterations": 20000}
+FULL_SCALE_SPEC = PhaseGridSpec(n=256, m=64, p_values=(4, 8, 16, 32, 64, 128, 256, 512, 1024),
+                                rho_values=(1e-3, 1e-2, 1e-1, 0.3, 0.6, 0.99),
+                                max_iterations=20_000)
+
+
+def test_full_scale_config_resolves_to_the_full_scale_grid(tmp_path, driver_calls):
+    _resolve(tmp_path, ["phase-transition"], FULL_SCALE)
+    assert driver_calls["run_phase_transition"] == ((FULL_SCALE_SPEC,), {})
+    _resolve(tmp_path, ["phase-transition", "--n", "128"], FULL_SCALE)
+    assert driver_calls["run_phase_transition"] == ((replace(FULL_SCALE_SPEC, n=128),), {})

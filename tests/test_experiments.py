@@ -10,6 +10,7 @@ from blindcal.experiments import (PhaseGridSpec, RateComparisonSpec,
                                   run_imaging_demo, run_init_study,
                                   run_phase_transition, run_rate_comparison,
                                   to_db)
+from blindcal.geometry import draw_gain_perturbation
 from blindcal.model import generate_ensemble, sense
 from blindcal.seeding import derive_seed
 
@@ -286,3 +287,12 @@ def test_init_study_slope():
 def test_init_study_rejects_bad_values(bad):
     with pytest.raises(ParameterError):
         run_init_study(**dict(dict(n=8, m=4, p_values=(8, 16), trials=2), **bad))
+
+
+@pytest.mark.parametrize("draw", [
+    lambda seed: draw_signal_ball(4, seed),
+    lambda seed: draw_smooth_signal(4, seed),
+    lambda seed: draw_gain_perturbation(4, 0.3, seed),
+], ids=["draw_signal_ball", "draw_smooth_signal", "draw_gain_perturbation"])
+def test_sampler_takes_seed_mod_2_64(draw):
+    np.testing.assert_array_equal(draw(-1), draw(2**64 - 1))
