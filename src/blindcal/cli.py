@@ -140,9 +140,8 @@ _SOLVE_OPTIONS = dict(n=64, m=16, p=64, rho=0.05, seed=0, tol=None, step_mode="l
 def _cmd_solve(a: dict, out: str) -> int:
     if bool(a["x_file"]) != bool(a["d_file"]):
         raise UsageError("provide both --x-file and --d-file")
-    mode = a["step_mode"].replace("-", "_")
     config = solver.SolverConfig(
-        step_mode=mode, mu=a["mu"] if mode == solver.FIXED else None, rho=a["rho"],
+        step_mode=a["step_mode"].replace("-", "_"), mu=a["mu"], rho=a["rho"],
         apply_C_rho_projection=not a["no_projection"],
         **_given(objective_tolerance=a["tol"], max_iterations=a["max_iterations"]))
 

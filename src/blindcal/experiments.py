@@ -22,8 +22,7 @@ from .geometry import draw_gain_perturbation
 from .model import GroundTruth, SensingEnsemble, generate_ensemble, sense
 from .objective import adjoint, forward
 from .seeding import derive_seed
-from .solver import (CONVERGED, FIXED, LINE_SEARCH, SolveResult, SolverConfig, initialise,
-                     solve)
+from .solver import CONVERGED, FIXED, SolveResult, SolverConfig, initialise, solve
 
 
 def to_db(ratio: float) -> float:
@@ -123,7 +122,7 @@ class PhaseGridSpec:
     trials_per_cell: int = 10
     zeta_db: float = -70.0
     base_seed: int = 0
-    tolerance: float = 1e-7
+    tolerance: float = SolverConfig.objective_tolerance
     max_iterations: int = 3000
 
     def __post_init__(self):
@@ -159,13 +158,12 @@ class PhaseGridResult:
 
 
 def _phase_trial(args) -> TrialOutcome:
-    spec, cell, ip, ir, t = args
-    p = spec.p_values[ip]
-    rho = spec.rho_values[ir]
+    spec, cell, t = args
+    ip, ir = divmod(cell, len(spec.rho_values))
+    p, rho = spec.p_values[ip], spec.rho_values[ir]
     seed = derive_seed(spec.base_seed, [("cell", cell), ("trial", t)])
     inst = draw_instance(spec.n, spec.m, p, rho, seed)
-    config = SolverConfig(step_mode=LINE_SEARCH, rho=rho,
-                          objective_tolerance=spec.tolerance,
+    config = SolverConfig(rho=rho, objective_tolerance=spec.tolerance,
                           max_iterations=spec.max_iterations, record_trace=False)
     try:
         result = solve(inst.ensemble, inst.y, config, truth=inst.truth)
@@ -185,23 +183,17 @@ def run_phase_transition(spec: PhaseGridSpec, workers: int = 1) -> PhaseGridResu
     canonical truth falls below 10^(zeta_db / 20) after a line-search solve.
     """
     workers = check_count(workers, "workers")
-    tasks = []
-    for ip in range(len(spec.p_values)):
-        for ir in range(len(spec.rho_values)):
-            cell = ip * len(spec.rho_values) + ir
-            for t in range(spec.trials_per_cell):
-                tasks.append((spec, cell, ip, ir, t))
+    shape = (len(spec.p_values), len(spec.rho_values), spec.trials_per_cell)
+    tasks = [(spec, cell, t) for cell in range(shape[0] * shape[1]) for t in range(shape[2])]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_phase_trial, tasks, chunksize=1))
     else:
         outcomes = [_phase_trial(task) for task in tasks]
 
-    prob = np.zeros((len(spec.p_values), len(spec.rho_values)))
-    for out in outcomes:
-        ip, ir = divmod(out.cell, len(spec.rho_values))
-        prob[ip, ir] += 1.0 if out.success else 0.0
-    prob /= spec.trials_per_cell
+    # tasks are cell-major and map keeps their order
+    successes = np.array([out.success for out in outcomes]).reshape(shape)
+    prob = successes.sum(axis=2) / spec.trials_per_cell
     return PhaseGridResult(spec=spec, success_probability=prob, trials=outcomes)
 
 
@@ -214,13 +206,15 @@ def least_squares_baseline(ensemble, y) -> np.ndarray:
 
     Solves G xi = b with G = (1/mp) sum_l A_l^T A_l and b = (1/mp) sum_l
     A_l^T y_l, matrix free, down to relative residual 1e-10 within 10 n
-    iterations. Underdetermined systems (mp < n), residual stagnation and an
-    exhausted budget raise SingularityError.
+    iterations. Non-finite snapshots raise ParameterError; underdetermined
+    systems (mp < n), residual stagnation and an exhausted budget raise
+    SingularityError.
     """
     n, m, p = ensemble.n, ensemble.m, ensemble.p
     rtol, max_iterations = 1e-10, 10 * n
     scale = 1.0 / (m * p)
-    b = scale * adjoint(ensemble, y)  # adjoint checks the shape of y
+    y = check_array(y, (p, m), "snapshots", finite=True)
+    b = scale * adjoint(ensemble, y)
     if m * p < n:
         raise SingularityError(f"normal equations underdetermined: mp = {m * p} < n = {n}")
 
@@ -300,7 +294,7 @@ class DemoReport:
 
 
 def run_imaging_demo(image_path, m: int, p: int | None, rho: float, seed: int = 0,
-                     tol: float = 1e-6, max_iterations: int = 100_000,
+                     tol: float = 1e-6, max_iterations: int = SolverConfig.max_iterations,
                      out_dir=None) -> DemoReport:
     """Blind calibration of an m-sensor array imaging a fixed picture.
 
@@ -314,8 +308,8 @@ def run_imaging_demo(image_path, m: int, p: int | None, rho: float, seed: int = 
     report are written there.
     """
     m = check_size(m, "m")
-    config = SolverConfig(step_mode=LINE_SEARCH, rho=rho, objective_tolerance=tol,
-                          max_iterations=max_iterations, record_trace=False)
+    config = SolverConfig(rho=rho, objective_tolerance=tol, max_iterations=max_iterations,
+                          record_trace=False)
     image = fileio.read_image(image_path)
     c, h, w = image.shape
     n = h * w
@@ -440,7 +434,7 @@ class RateComparisonSpec:
     p: int = 64
     rho: float = 0.5
     seed: int = 0
-    tolerance: float = 1e-7
+    tolerance: float = SolverConfig.objective_tolerance
     mu: float = 1e-4
     max_iterations: int = 400_000
 
@@ -468,7 +462,7 @@ def run_rate_comparison(spec: RateComparisonSpec) -> RateComparisonResult:
     inst = draw_imaging_instance(spec.n, spec.m, spec.p, spec.rho, spec.seed)
     base = dict(rho=spec.rho, objective_tolerance=spec.tolerance,
                 max_iterations=spec.max_iterations, record_trace=True)
-    ls_config = SolverConfig(step_mode=LINE_SEARCH, **base)
+    ls_config = SolverConfig(**base)
     fx_config = SolverConfig(step_mode=FIXED, mu=spec.mu, **base)
     ls = solve(inst.ensemble, inst.y, ls_config, truth=inst.truth)
     fx = solve(inst.ensemble, inst.y, fx_config, truth=inst.truth)

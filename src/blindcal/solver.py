@@ -6,8 +6,12 @@ solution) and the gains with the all-ones vector, then descends f with the
 signal gradient and the zero-sum-projected gain gradient. Steps come either
 from exact per-block line searches or from a fixed step pair
 ``(mu, mu * m / ||xi_0||^2)``; each gain update may be re-projected onto
-C_rho. Iteration stops when the objective drops below the tolerance, the
-iteration budget runs out, or the objective stagnates.
+C_rho. A start below the objective tolerance has converged. Otherwise one
+stop block decides before each step, in this order: the budget is spent
+(max_iterations), f fell by less than STAGNATION_RTOL (relative) over the
+last STAGNATION_WINDOW iterations (stagnated), else the step is taken and
+the solve has converged if the objective stepped from was below the
+tolerance.
 
 Note on the line searches: each step is the exact minimiser of the 1-d
 quadratic along the descent direction, computed in closed form from the
@@ -21,20 +25,24 @@ adjoint for the new point, plus once forward for the line-search image A g:
 2 forward + 1 adjoint with line search, 1 + 1 with fixed steps. On a lazy
 ensemble that is 2 regeneration passes per line-search iteration (1 with
 fixed steps). A solve adds one adjoint for the start point and one
-evaluation of it.
+evaluation of it, so a k-iteration solve applies the operator exactly
+2k + 2 times with line search and k + 2 times with fixed steps. There is no
+exception: a zero direction still costs its forward pass, and its step is 0
+because its image vanishes.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import geometry
-from .errors import (DivergenceError, ParameterError, TheoryRangeWarning, check_count,
-                     check_positive, check_rho)
+from .errors import (DivergenceError, ParameterError, TheoryRangeWarning, check_array,
+                     check_count, check_positive, check_rho)
 from .model import GroundTruth
 from .objective import GradientPair, adjoint, forward, gradients
 
@@ -114,21 +122,29 @@ class SolverTrace:
         self.delta_F.append(geometry.delta_F(point, truth) if truth is not None else None)
         self.elapsed_seconds.append(elapsed)
 
-    def __len__(self):
-        return len(self.iteration)
-
 
 def initialise(ensemble, y) -> tuple[np.ndarray, np.ndarray]:
-    """Backprojection start: xi_0 = (1/mp) sum_l A_l^T y_l, gamma_0 = 1."""
+    """Backprojection start: xi_0 = (1/mp) sum_l A_l^T y_l, gamma_0 = 1.
+
+    The snapshots are checked here, once per solve: a non-finite entry
+    raises ParameterError.
+    """
+    y = check_array(y, (ensemble.p, ensemble.m), "snapshots", finite=True)
     xi0 = adjoint(ensemble, y) / (ensemble.m * ensemble.p)
     return xi0, np.ones(ensemble.m)
 
 
-def _evaluation(state: SolverState, ensemble, y) -> GradientPair:
-    """The evaluation a state carries, else ``gradients`` at its point."""
+def _evaluated(state: SolverState, ensemble, y) -> SolverState:
+    """The state itself if it carries its evaluation, else a copy that does."""
     if state.evaluation is not None:
-        return state.evaluation
-    return gradients(ensemble, y, (state.xi, state.gamma))
+        return state
+    return replace(state, evaluation=gradients(ensemble, y, (state.xi, state.gamma)))
+
+
+def _ratio(num: float, image: np.ndarray) -> float:
+    """num / ||image||^2, or 0 when the image vanishes."""
+    den = float((image * image).sum())
+    return num / den if den > 0.0 else 0.0
 
 
 def exact_line_search(state: SolverState, ensemble, y) -> tuple[float, float]:
@@ -137,29 +153,16 @@ def exact_line_search(state: SolverState, ensemble, y) -> tuple[float, float]:
     For direction g in the signal block the residual moves along
     s_l = gamma * (A_l g), so the minimiser of the 1-d quadratic is
     sum_l <r_l, s_l> / sum_l ||s_l||^2 = mp ||g||^2 / sum_l ||s_l||^2,
-    and symmetrically for the projected gain direction. A vanishing
-    direction (or image) yields step 0 for that block. A state that carries
-    its evaluation is not evaluated again.
+    and symmetrically for the projected gain direction h, whose residual
+    moves along (A_l xi) * h. A vanishing direction has a vanishing image
+    and yields step 0 for that block. A state that carries its evaluation is
+    not evaluated again.
     """
-    return _line_search_steps(ensemble, state.gamma, _evaluation(state, ensemble, y))
-
-
-def _line_search_steps(ensemble, gamma, grads) -> tuple[float, float]:
+    grads = _evaluated(state, ensemble, y).evaluation
     mp = ensemble.m * ensemble.p
-    g = grads.grad_xi
-    h = grads.grad_gamma_projected
-    mu_xi = _exact_step(mp * float(g @ g), lambda: gamma * forward(ensemble, g))
-    mu_gamma = _exact_step(mp * float(h @ h), lambda: grads.ax * h)
-    return mu_xi, mu_gamma
-
-
-def _exact_step(num: float, image) -> float:
-    """num / ||image()||^2, or 0 when the direction or its image vanishes."""
-    if num == 0.0:
-        return 0.0
-    im = image()
-    den = float((im * im).sum())
-    return num / den if den > 0.0 else 0.0
+    g, h = grads.grad_xi, grads.grad_gamma_projected
+    return (_ratio(mp * float(g @ g), state.gamma * forward(ensemble, g)),
+            _ratio(mp * float(h @ h), grads.ax * h))
 
 
 def iterate(state: SolverState, config: SolverConfig, ensemble, y,
@@ -170,11 +173,10 @@ def iterate(state: SolverState, config: SolverConfig, ensemble, y,
     Line-search mode takes the exact block steps; fixed mode needs the step
     pair (mu_xi, mu_gamma) in ``fixed_steps``.
     """
-    xi, gamma = state.xi, state.gamma
-    grads = _evaluation(state, ensemble, y)
-
+    state = _evaluated(state, ensemble, y)
+    grads = state.evaluation
     if config.step_mode == LINE_SEARCH:
-        mu_xi, mu_gamma = _line_search_steps(ensemble, gamma, grads)
+        mu_xi, mu_gamma = exact_line_search(state, ensemble, y)
     else:
         if fixed_steps is None:
             raise ParameterError(
@@ -182,8 +184,8 @@ def iterate(state: SolverState, config: SolverConfig, ensemble, y,
                 "solve() derives mu_gamma = mu * m / ||xi_0||^2")
         mu_xi, mu_gamma = fixed_steps
 
-    xi_next = xi - mu_xi * grads.grad_xi
-    gamma_next = gamma - mu_gamma * grads.grad_gamma_projected
+    xi_next = state.xi - mu_xi * grads.grad_xi
+    gamma_next = state.gamma - mu_gamma * grads.grad_gamma_projected
     iteration = state.iteration + 1
     if not (np.isfinite(xi_next).all() and np.isfinite(gamma_next).all()):
         raise DivergenceError(
@@ -242,30 +244,23 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
     if config.record_trace:
         trace.record(state, time.perf_counter() - t0, truth)
 
-    recent = [f0]
-    if f0 < config.objective_tolerance:
-        stop = CONVERGED
-    else:
-        while True:
-            if state.iteration >= config.max_iterations:
-                stop = MAX_ITERATIONS
-                break
-            if len(recent) > STAGNATION_WINDOW:
-                old = recent[0]
-                if (old - state.objective) < STAGNATION_RTOL * max(old, 1e-300):
-                    stop = STAGNATED
-                    break
+    recent = deque([f0], maxlen=STAGNATION_WINDOW + 1)
+    stop = CONVERGED if f0 < config.objective_tolerance else None
+    while stop is None:
+        if state.iteration >= config.max_iterations:
+            stop = MAX_ITERATIONS
+        elif (len(recent) > STAGNATION_WINDOW
+              and recent[0] - state.objective < STAGNATION_RTOL * max(recent[0], 1e-300)):
+            stop = STAGNATED
+        else:
             previous_objective = state.objective
             state = iterate(state, config, ensemble, y, fixed_steps)
             recent.append(state.objective)
-            if len(recent) > STAGNATION_WINDOW + 1:
-                recent.pop(0)
             if config.record_trace and (state.iteration <= TRACE_DENSE_LIMIT
                                         or state.iteration % 10 == 0):
                 trace.record(state, time.perf_counter() - t0, truth)
             if previous_objective < config.objective_tolerance:
                 stop = CONVERGED
-                break
 
     if config.record_trace and trace.iteration[-1] != state.iteration:
         trace.record(state, time.perf_counter() - t0, truth)

@@ -135,3 +135,18 @@ def test_checkers_return_the_computed_form():
 def test_checkers_raise_parameter_error_on_non_numbers(call):
     with pytest.raises(ParameterError):
         call()
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("entry", ["solve", "initialise", "least_squares_baseline"])
+def test_non_finite_snapshot_is_parameter_error(entry, bad):
+    from blindcal.experiments import least_squares_baseline
+    from blindcal.solver import initialise, solve
+    inst = draw_instance(8, 4, 6, 0.3, seed=5)
+    y = inst.y.copy()
+    y[2, 1] = bad
+    calls = {"solve": lambda: solve(inst.ensemble, y, SolverConfig(rho=0.3)),
+             "initialise": lambda: initialise(inst.ensemble, y),
+             "least_squares_baseline": lambda: least_squares_baseline(inst.ensemble, y)}
+    with pytest.raises(ParameterError, match="snapshots"):
+        calls[entry]()

@@ -472,3 +472,41 @@ def test_diagnostics_hand_computed():
 def test_diagnostics_warns_outside_theory():
     with pytest.warns(TheoryRangeWarning):
         contraction_diagnostics(0.5, 0.1, default_kappa(0.1, 0.5), 1.0, 8, 1e-4)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3])
+def test_stagnation_stop_matches_reference(rho):
+    # the instance of test_stagnation_guard; both solves stop on the window
+    n, m, p = 12, 6, 6
+    rng = np.random.default_rng(70)
+    x = rng.standard_normal(n)
+    ensemble = generate_ensemble(n, m, p, "gaussian", 71)
+    y = sense(ensemble, x, np.ones(m))
+    config = SolverConfig(step_mode=LINE_SEARCH, rho=rho,
+                          objective_tolerance=1e-40, max_iterations=50_000)
+    result = solve(ensemble, y, config)
+    ref = reference_solve(ensemble, y, config)
+    assert result.stop_reason == ref["stop"] == "stagnated"
+    assert result.iterations == ref["iterations"]
+    np.testing.assert_allclose(result.trace.objective, ref["objectives"], rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("mode", [LINE_SEARCH, FIXED])
+def test_iterate_evaluates_a_bare_state_once(mode):
+    inst = draw_instance(12, 6, 6, 0.3, seed=90)
+    config = SolverConfig(step_mode=mode, mu=2e-3, rho=0.3)
+    xi, gamma = initialise(inst.ensemble, inst.y)
+    fixed = (2e-3, 2e-3 * inst.ensemble.m / float(xi @ xi)) if mode == FIXED else None
+    carried = SolverState(xi, gamma, 0, objective_value(inst.ensemble, inst.y, (xi, gamma)),
+                          evaluation=gradients(inst.ensemble, inst.y, (xi, gamma)))
+    bare = SolverState(xi, gamma, 0, carried.objective)
+    passes = []
+    for state in (carried, bare):
+        before = inst.ensemble.operator_passes
+        passes.append((iterate(state, config, inst.ensemble, inst.y, fixed),
+                       inst.ensemble.operator_passes - before))
+    (a, cost_a), (b, cost_b) = passes
+    np.testing.assert_array_equal(b.xi, a.xi)
+    np.testing.assert_array_equal(b.gamma, a.gamma)
+    assert b.objective == a.objective and (b.mu_xi, b.mu_gamma) == (a.mu_xi, a.mu_gamma)
+    assert cost_b == cost_a + 1
