@@ -20,7 +20,7 @@ from .errors import (BlindcalError, DimensionError, ParameterError, SingularityE
                      check_array, check_count, check_positive, check_rho, check_size)
 from .geometry import draw_gain_perturbation
 from .model import GroundTruth, SensingEnsemble, generate_ensemble, sense
-from .objective import adjoint, forward
+from .objective import adjoint, gradients
 from .seeding import derive_seed
 from .solver import CONVERGED, FIXED, SolveResult, SolverConfig, initialise, solve
 
@@ -218,8 +218,10 @@ def least_squares_baseline(ensemble, y) -> np.ndarray:
     if m * p < n:
         raise SingularityError(f"normal equations underdetermined: mp = {m * p} < n = {n}")
 
-    def apply(v):
-        return scale * adjoint(ensemble, forward(ensemble, v))
+    zeros, ones = np.zeros((p, m)), np.ones(m)
+
+    def apply(v):  # G v is the signal gradient of f(., 1) with y = 0: one pass
+        return gradients(ensemble, zeros, (v, ones)).grad_xi
 
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:

@@ -67,6 +67,26 @@ class GradientPair:
     objective: float | None = None
     ax: np.ndarray | None = None
 
+    @classmethod
+    def from_residual(cls, ax, r, back) -> GradientPair:
+        """The evaluation from A xi, the residual r (overwritten) and A^T (gamma * r)."""
+        p, m = r.shape
+        scale = 1.0 / (m * p)
+        objective = float((r * r).sum()) / (2.0 * m * p)
+        r *= ax
+        grad_gamma = scale * r.sum(axis=0)
+        return cls(grad_xi=scale * back, grad_gamma=grad_gamma,
+                   grad_gamma_projected=grad_gamma - grad_gamma.sum() / m,  # P grad_gamma
+                   objective=objective, ax=ax)
+
+
+def residual_block(rows, xi, gamma, y_b, ax_b, r_b) -> np.ndarray:
+    """A_b xi into ax_b, gamma * (A_b xi) - y_b into r_b; returns A_b^T (gamma * r_b)."""
+    np.dot(rows, xi, out=ax_b.reshape(-1))
+    np.multiply(gamma, ax_b, out=r_b)
+    r_b -= y_b
+    return (gamma * r_b).reshape(-1) @ rows
+
 
 def gradients(ensemble, y, point) -> GradientPair:
     """Both gradient blocks, f and A xi, from one sweep over the operator."""
@@ -74,18 +94,8 @@ def gradients(ensemble, y, point) -> GradientPair:
     n, m, p = ensemble.n, ensemble.m, ensemble.p
     ax, r, back = np.empty((p, m)), np.empty((p, m)), np.zeros(n)
     for sl, rows in ensemble.blocks():
-        ax_b, r_b = ax[sl], r[sl]
-        np.dot(rows, xi, out=ax_b.reshape(-1))
-        np.multiply(gamma, ax_b, out=r_b)
-        r_b -= y[sl]
-        back += (gamma * r_b).reshape(-1) @ rows
-    scale = 1.0 / (m * p)
-    objective = float((r * r).sum()) / (2.0 * m * p)
-    r *= ax
-    grad_gamma = scale * r.sum(axis=0)
-    return GradientPair(grad_xi=scale * back, grad_gamma=grad_gamma,
-                        grad_gamma_projected=grad_gamma - grad_gamma.sum() / m,  # P grad_gamma
-                        objective=objective, ax=ax)
+        back += residual_block(rows, xi, gamma, y[sl], ax[sl], r[sl])
+    return GradientPair.from_residual(ax, r, back)
 
 
 def hessian(ensemble, y, point) -> np.ndarray:

@@ -18,16 +18,14 @@ quadratic along the descent direction, computed in closed form from the
 residuals. Because the directions are the gradient blocks themselves, the
 numerators reduce to mp times the squared direction norms.
 
-Operator cost: every iterate is evaluated once, by ``objective.gradients``
-(f, A xi and both gradients), and the state carries that evaluation into the
-next step. An iteration therefore applies the operator once forward and once
-adjoint for the new point, plus once forward for the line-search image A g:
-2 forward + 1 adjoint with line search, 1 + 1 with fixed steps. On a lazy
-ensemble that is 2 regeneration passes per line-search iteration (1 with
-fixed steps). A solve adds one adjoint for the start point and one
-evaluation of it, so a k-iteration solve applies the operator exactly
-2k + 2 times with line search and k + 2 times with fixed steps. There is no
-exception: a zero direction still costs its forward pass, and its step is 0
+Operator cost: every iterate is evaluated once (f, A xi and both
+gradients) and the state carries that evaluation into the next step, so
+each iteration is one pass over the operator, one regeneration pass on a
+lazy ensemble. With line search the gain step needs only the carried A xi;
+one sweep then gives A g for the signal step and, as A xi' = A xi - mu_xi
+A g, the new point's evaluation. With the start point's adjoint and
+evaluation, a k-iteration solve applies the operator exactly k + 2 times in
+either step mode. A zero direction still costs its pass; its step is 0
 because its image vanishes.
 """
 
@@ -44,7 +42,7 @@ from . import geometry
 from .errors import (DivergenceError, ParameterError, TheoryRangeWarning, check_array,
                      check_count, check_positive, check_rho)
 from .model import GroundTruth
-from .objective import GradientPair, adjoint, forward, gradients
+from .objective import GradientPair, adjoint, forward, gradients, residual_block
 
 LINE_SEARCH = "line_search"
 FIXED = "fixed"
@@ -141,10 +139,10 @@ def _evaluated(state: SolverState, ensemble, y) -> SolverState:
     return replace(state, evaluation=gradients(ensemble, y, (state.xi, state.gamma)))
 
 
-def _ratio(num: float, image: np.ndarray) -> float:
-    """num / ||image||^2, or 0 when the image vanishes."""
+def _step(direction: np.ndarray, image: np.ndarray, mp: int) -> float:
+    """Exact step mp ||direction||^2 / ||image||^2, or 0 when the image vanishes."""
     den = float((image * image).sum())
-    return num / den if den > 0.0 else 0.0
+    return mp * float(direction @ direction) / den if den > 0.0 else 0.0
 
 
 def exact_line_search(state: SolverState, ensemble, y) -> tuple[float, float]:
@@ -161,8 +159,38 @@ def exact_line_search(state: SolverState, ensemble, y) -> tuple[float, float]:
     grads = _evaluated(state, ensemble, y).evaluation
     mp = ensemble.m * ensemble.p
     g, h = grads.grad_xi, grads.grad_gamma_projected
-    return (_ratio(mp * float(g @ g), state.gamma * forward(ensemble, g)),
-            _ratio(mp * float(h @ h), grads.ax * h))
+    return _step(g, state.gamma * forward(ensemble, g), mp), _step(h, grads.ax * h, mp)
+
+
+def _finite(v: np.ndarray, iteration: int) -> np.ndarray:
+    if not np.isfinite(v).all():
+        raise DivergenceError(f"iterate became non-finite at iteration {iteration}", iteration)
+    return v
+
+
+def _line_search_sweep(state: SolverState, gamma_next, ensemble, y):
+    """mu_xi, xi' and the evaluation at (xi', gamma'), from one pass.
+
+    Each block but the last gives A_b g, a fresh A_b xi (no drift is carried)
+    and the partials bv = A_b^T (gamma' * r_b(xi)), bu = A_b^T (gamma'^2 *
+    A_b g); there A xi' = A xi - mu A g. The last block, the only one of a
+    cached ensemble, is evaluated at xi' directly."""
+    g, xi = state.evaluation.grad_xi, state.xi
+    m, p = ensemble.m, ensemble.p
+    ag, ax, r = np.empty((p, m)), np.empty((p, m)), np.empty((p, m))
+    bv = bu = 0.0
+    for sl, rows in ensemble.blocks():
+        np.dot(rows, g, out=ag[sl].reshape(-1))
+        if sl.stop < p:
+            bv += residual_block(rows, xi, gamma_next, y[sl], ax[sl], r[sl])
+            bu += (gamma_next * gamma_next * ag[sl]).reshape(-1) @ rows
+    mu_xi = _step(g, state.gamma * ag, m * p)
+    xi_next = _finite(xi - mu_xi * g, state.iteration + 1)
+    if sl.start:  # the earlier blocks
+        ax[:sl.start] -= mu_xi * ag[:sl.start]
+        np.subtract(gamma_next * ax[:sl.start], y[:sl.start], out=r[:sl.start])
+    back = bv - mu_xi * bu + residual_block(rows, xi_next, gamma_next, y[sl], ax[sl], r[sl])
+    return mu_xi, xi_next, GradientPair.from_residual(ax, r, back)
 
 
 def iterate(state: SolverState, config: SolverConfig, ensemble, y,
@@ -175,27 +203,27 @@ def iterate(state: SolverState, config: SolverConfig, ensemble, y,
     """
     state = _evaluated(state, ensemble, y)
     grads = state.evaluation
-    if config.step_mode == LINE_SEARCH:
-        mu_xi, mu_gamma = exact_line_search(state, ensemble, y)
-    else:
-        if fixed_steps is None:
-            raise ParameterError(
-                "fixed step mode needs explicit (mu_xi, mu_gamma); "
-                "solve() derives mu_gamma = mu * m / ||xi_0||^2")
-        mu_xi, mu_gamma = fixed_steps
-
-    xi_next = state.xi - mu_xi * grads.grad_xi
-    gamma_next = state.gamma - mu_gamma * grads.grad_gamma_projected
+    h = grads.grad_gamma_projected
     iteration = state.iteration + 1
-    if not (np.isfinite(xi_next).all() and np.isfinite(gamma_next).all()):
-        raise DivergenceError(
-            f"iterate became non-finite at iteration {iteration}", iteration)
+    if config.step_mode == LINE_SEARCH:
+        mu_gamma = _step(h, grads.ax * h, ensemble.m * ensemble.p)
+    elif fixed_steps is None:
+        raise ParameterError(
+            "fixed step mode needs explicit (mu_xi, mu_gamma); "
+            "solve() derives mu_gamma = mu * m / ||xi_0||^2")
+    else:
+        mu_xi, mu_gamma = fixed_steps
+        xi_next = _finite(state.xi - mu_xi * grads.grad_xi, iteration)
+    gamma_next = _finite(state.gamma - mu_gamma * h, iteration)
     if config.apply_C_rho_projection:
         gamma_next = geometry.project_C_rho(gamma_next, config.rho)
 
     # overflow here (and the inf - inf it leads to) is the divergence signal
     with np.errstate(over="ignore", invalid="ignore"):
-        grads_next = gradients(ensemble, y, (xi_next, gamma_next))
+        if config.step_mode == LINE_SEARCH:
+            mu_xi, xi_next, grads_next = _line_search_sweep(state, gamma_next, ensemble, y)
+        else:
+            grads_next = gradients(ensemble, y, (xi_next, gamma_next))
     f_next = grads_next.objective
     if not np.isfinite(f_next):
         raise DivergenceError(

@@ -440,8 +440,8 @@ def test_solve_counts_operator_passes(monkeypatch, lazy, mode):
     k = result.iterations
     assert k == 6 and min(result.trace.mu_xi[1:] + result.trace.mu_gamma[1:]) > 0.0
     # the start: one adjoint and one evaluation; then per iteration one
-    # evaluation of the new point, plus the line-search image A g
-    expected = 2 * k + 2 if mode == LINE_SEARCH else k + 2
+    # pass, which gives the line-search image A g and the new point's evaluation
+    expected = k + 2
     assert result.operator_passes == expected
     assert inst.ensemble.operator_passes - before == expected
 
@@ -510,3 +510,67 @@ def test_iterate_evaluates_a_bare_state_once(mode):
     np.testing.assert_array_equal(b.gamma, a.gamma)
     assert b.objective == a.objective and (b.mu_xi, b.mu_gamma) == (a.mu_xi, a.mu_gamma)
     assert cost_b == cost_a + 1
+
+
+def test_lazy_line_search_regenerates_one_pass_per_iteration(monkeypatch):
+    inst = trajectory_instance(monkeypatch, lazy=True)
+    draws = []
+    draw = SensingEnsemble._draw
+
+    def counting_draw(self, l):
+        draws.append(l)
+        return draw(self, l)
+
+    monkeypatch.setattr(SensingEnsemble, "_draw", counting_draw)
+    config = SolverConfig(step_mode=LINE_SEARCH, rho=0.3,
+                          objective_tolerance=1e-30, max_iterations=5)
+    result = solve(inst.ensemble, inst.y, config)
+    k, p = result.iterations, inst.ensemble.p
+    assert k == 5
+    # the start: one adjoint and one evaluation; then one sweep per iteration
+    assert len(draws) == (k + 2) * p
+
+
+def assert_same_evaluation(actual, expected, assert_close):
+    for name in ("grad_xi", "grad_gamma", "grad_gamma_projected", "ax"):
+        assert_close(getattr(actual, name), getattr(expected, name))
+    assert_close(np.asarray(actual.objective), np.asarray(expected.objective))
+
+
+def test_line_search_sweep_matches_two_passes_on_cached_ensemble():
+    inst = draw_instance(12, 6, 6, 0.3, seed=90)
+    assert inst.ensemble.stacked() is not None
+    config = SolverConfig(step_mode=LINE_SEARCH, rho=0.3)
+    xi, gamma = initialise(inst.ensemble, inst.y)
+    state = SolverState(xi, gamma, 0, 0.0,
+                        evaluation=gradients(inst.ensemble, inst.y, (xi, gamma)))
+    for _ in range(5):
+        # the two-pass formula: the steps, then the new point evaluated afresh
+        mu_xi, mu_gamma = exact_line_search(state, inst.ensemble, inst.y)
+        xi = state.xi - mu_xi * state.evaluation.grad_xi
+        gamma = project_C_rho(state.gamma - mu_gamma * state.evaluation.grad_gamma_projected,
+                              config.rho)
+        expected = gradients(inst.ensemble, inst.y, (xi, gamma))
+        state = iterate(state, config, inst.ensemble, inst.y)
+        np.testing.assert_array_equal(state.xi, xi)
+        np.testing.assert_array_equal(state.gamma, gamma)
+        assert state.objective == expected.objective
+        assert (state.mu_xi, state.mu_gamma) == (mu_xi, mu_gamma)
+        assert_same_evaluation(state.evaluation, expected, np.testing.assert_array_equal)
+
+
+def test_lazy_line_search_carries_a_fresh_evaluation(monkeypatch):
+    inst = trajectory_instance(monkeypatch, lazy=True)
+    config = SolverConfig(step_mode=LINE_SEARCH, rho=0.3)
+    xi, gamma = initialise(inst.ensemble, inst.y)
+    state = SolverState(xi, gamma, 0, 0.0,
+                        evaluation=gradients(inst.ensemble, inst.y, (xi, gamma)))
+
+    def close_in_norm(a, b):
+        # relative to the whole array: its small entries carry the rounding of its large ones
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    for _ in range(20):
+        state = iterate(state, config, inst.ensemble, inst.y)
+        fresh = gradients(inst.ensemble, inst.y, (state.xi, state.gamma))
+        assert_same_evaluation(state.evaluation, fresh, close_in_norm)
