@@ -186,9 +186,10 @@ def _cmd_phase_transition(a: dict, out: str) -> int:
         trials_per_cell=a["trials"], zeta_db=a["zeta_db"], base_seed=a["seed"],
         tolerance=a["tol"], max_iterations=a["max_iterations"]))
     result = experiments.run_phase_transition(spec, **_given(workers=a["workers"]))
-    path = os.path.join(out, "phase_grid.csv")
+    path, trials_path = os.path.join(out, "phase_grid.csv"), os.path.join(out, "trials.csv")
     fileio.write_grid_csv(path, result)
-    print(f"phase-transition: wrote {path}")
+    fileio.write_trials_csv(trials_path, result)
+    print(f"phase-transition: wrote {path} and {trials_path}")
     for ip, p in enumerate(spec.p_values):
         cells = " ".join(f"{result.success_probability[ip, ir]:.2f}"
                          for ir in range(len(spec.rho_values)))

@@ -10,6 +10,7 @@ reproducible from (base_seed, cell index, trial index) alone.
 from __future__ import annotations
 
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -148,6 +149,10 @@ class TrialOutcome:
     error_db: float
     iterations: int
     stop_reason: str
+    seed: int
+    objective: float  # final f; nan when the solve raised
+    operator_passes: int
+    seconds: float  # wall time of the trial, instance draw included
 
 
 @dataclass
@@ -158,22 +163,24 @@ class PhaseGridResult:
 
 
 def _phase_trial(args) -> TrialOutcome:
+    t0 = time.perf_counter()
     spec, cell, t = args
     ip, ir = divmod(cell, len(spec.rho_values))
     p, rho = spec.p_values[ip], spec.rho_values[ir]
     seed = derive_seed(spec.base_seed, [("cell", cell), ("trial", t)])
     inst = draw_instance(spec.n, spec.m, p, rho, seed)
+    passes0 = inst.ensemble.operator_passes
     config = SolverConfig(rho=rho, objective_tolerance=spec.tolerance,
                           max_iterations=spec.max_iterations, record_trace=False)
     try:
         result = solve(inst.ensemble, inst.y, config, truth=inst.truth)
         err = recovery_error(result.x_hat, result.d_hat, inst.truth)
-        err_db = to_db(err)
-        success = err < 10.0 ** (spec.zeta_db / 20.0)
-        return TrialOutcome(cell, p, rho, t, success, err_db,
-                            result.iterations, result.stop_reason)
+        success, err_db = err < 10.0 ** (spec.zeta_db / 20.0), to_db(err)
+        iterations, stop, f = result.iterations, result.stop_reason, result.objective
     except BlindcalError as exc:  # a diverging trial is a failure, not an abort
-        return TrialOutcome(cell, p, rho, t, False, np.inf, 0, f"error: {exc}")
+        success, err_db, iterations, stop, f = False, np.inf, 0, f"error: {exc}", np.nan
+    return TrialOutcome(cell, p, rho, t, success, err_db, iterations, stop, seed, f,
+                        inst.ensemble.operator_passes - passes0, time.perf_counter() - t0)
 
 
 def run_phase_transition(spec: PhaseGridSpec, workers: int = 1) -> PhaseGridResult:
@@ -301,13 +308,13 @@ def run_imaging_demo(image_path, m: int, p: int | None, rho: float, seed: int = 
     """Blind calibration of an m-sensor array imaging a fixed picture.
 
     Each colour channel is flattened to a signal of length n = h * w and
-    sensed by :func:`build_instance` through the ensemble of ``seed`` (so
-    every channel sees the same matrices) and one shared gain profile of
-    maximum deviation rho; p = None takes mp = 2n snapshots. Channels are
-    solved independently; the baseline fixes the gains to one and solves the
-    resulting least-squares problem, fully absorbing the model error. With
-    out_dir set, the reconstruction, the recovered gain map, and a JSON error
-    report are written there.
+    sensed through one ensemble, drawn once from ``seed`` by
+    :func:`build_instance` (so every channel sees the same matrices), and one
+    shared gain profile of maximum deviation rho; p = None takes mp = 2n
+    snapshots. Channels are solved independently; the baseline fixes the
+    gains to one and solves the resulting least-squares problem, fully
+    absorbing the model error. With out_dir set, the reconstruction, the
+    recovered gain map, and a JSON error report are written there.
     """
     m = check_size(m, "m")
     config = SolverConfig(rho=rho, objective_tolerance=tol, max_iterations=max_iterations,
@@ -322,8 +329,11 @@ def run_imaging_demo(image_path, m: int, p: int | None, rho: float, seed: int = 
     channels = []
     x_hat = np.empty_like(image)
     d_first = None
+    inst = build_instance(image[0].ravel(), d, rho, p, seed)
     for ci in range(c):
-        inst = build_instance(image[ci].ravel(), d, rho, p, seed)
+        if ci:  # later channels sense through the first channel's ensemble
+            truth = GroundTruth(x=image[ci].ravel(), d=d, rho=rho)
+            inst = Instance(truth, inst.ensemble, sense(inst.ensemble, truth.x, truth.d))
         result = solve(inst.ensemble, inst.y, config, truth=inst.truth)
         x_ls = least_squares_baseline(inst.ensemble, inst.y)
         channels.append(ChannelReport(
@@ -334,7 +344,6 @@ def run_imaging_demo(image_path, m: int, p: int | None, rho: float, seed: int = 
         x_hat[ci] = result.x_hat.reshape(h, w)
         if d_first is None:
             d_first = result.d_hat
-        del inst  # free this channel's ensemble before the next one is drawn
 
     error_db = max(max(ch.signal_error_db, ch.gain_error_db) for ch in channels)
     ls_error_db = max(ch.ls_error_db for ch in channels)

@@ -256,6 +256,22 @@ def read_grid_csv(path) -> list[dict]:
     return [dict(zip(_GRID_COLUMNS.split(","), row)) for row in rows]
 
 
+_TRIAL_COLUMNS = ("cell,p,rho,trial,seed,stop_reason,iterations,error_db,objective,"
+                  "underdetermined,operator_passes")
+
+
+def write_trials_csv(path, result):
+    """One row per trial of a phase grid; underdetermined (1 or 0) means
+    m*p < n + m - 1, and commas in an error's stop reason become semicolons.
+    Wall seconds are left out, so that reruns write identical bytes."""
+    n, m = result.spec.n, result.spec.m
+    write_csv(path, _TRIAL_COLUMNS, (
+        (str(t.cell), str(t.p), repr(float(t.rho)), str(t.trial), str(t.seed),
+         t.stop_reason.replace(",", ";"), str(t.iterations), repr(float(t.error_db)),
+         repr(float(t.objective)), str(int(m * t.p < n + m - 1)), str(t.operator_passes))
+        for t in result.trials))
+
+
 def write_report_json(path, report: dict):
     with open(path, "w", encoding="ascii") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -29,7 +29,8 @@ DISTRIBUTIONS = (GAUSSIAN, RADEMACHER)
 
 # Ensembles with at most this many cells (p*m*n) are kept stacked in memory;
 # larger ones are regenerated snapshot by snapshot so that grid experiments
-# never hold all p matrices at once.
+# never hold all p matrices at once. The stack is filled in place, so the
+# limit also bounds the peak: 8 bytes per cell plus one snapshot.
 CACHE_LIMIT_CELLS = 1 << 25
 
 
@@ -46,9 +47,11 @@ class SensingEnsemble:
     Snapshot ``l`` is drawn from ``derive_seed(seed, [("snapshot", l)])``, so
     any single matrix can be regenerated independently and deterministically.
     Ensembles of at most ``CACHE_LIMIT_CELLS`` cells are cached stacked as a
-    C-contiguous (p, m, n) array on first use; ``blocks()`` hands the
-    operator either that stack or one regenerated snapshot at a time, and
-    ``operator_passes`` counts its calls, one per application of the operator.
+    C-contiguous (p, m, n) array on first use, allocated once and filled one
+    snapshot at a time, so building it never holds the operator twice;
+    ``blocks()`` hands the operator either that stack or one regenerated
+    snapshot at a time, and ``operator_passes`` counts its calls, one per
+    application of the operator.
     """
 
     n: int
@@ -97,7 +100,10 @@ class SensingEnsemble:
         if self._cache is None:
             if self.p * self.m * self.n > CACHE_LIMIT_CELLS:
                 return None
-            self._cache = np.stack([self._draw(l) for l in range(self.p)])
+            stack = np.empty((self.p, self.m, self.n))
+            for l in range(self.p):
+                stack[l] = self._draw(l)
+            self._cache = stack
         return self._cache
 
     def iter_matrices(self) -> Iterator[np.ndarray]:

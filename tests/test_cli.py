@@ -191,6 +191,18 @@ def test_phase_transition_with_config(tmp_path):
     assert [r["p"] for r in rows] == [2, 16]
 
 
+def test_phase_transition_writes_one_row_per_trial(tmp_path):
+    out = tmp_path / "out"
+    code = run(["phase-transition", "--n", "12", "--m", "6", "--p-values", "2,16",
+                "--rho-values", "0.01", "--trials", "2", "--max-iterations", "300",
+                "--out", str(out)])
+    assert code == 0
+    header, *rows = (out / "trials.csv").read_text(encoding="ascii").splitlines()
+    assert header.startswith("cell,p,rho,trial,seed,stop_reason,")
+    assert [row.split(",")[:2] for row in rows] == [["0", "2"], ["0", "2"],
+                                                   ["1", "16"], ["1", "16"]]
+
+
 def test_malformed_config_is_usage_error(tmp_path, capsys):
     cfg_path = tmp_path / "grid.json"
     cfg_path.write_text("{not json")

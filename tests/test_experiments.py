@@ -4,15 +4,16 @@ import pytest
 from blindcal import fileio
 from blindcal.errors import DimensionError, ParameterError, SingularityError
 from blindcal.experiments import (PhaseGridSpec, RateComparisonSpec,
-                                  check_concentration, draw_instance,
-                                  draw_signal_ball, draw_smooth_signal,
+                                  build_instance, check_concentration, draw_gains,
+                                  draw_instance, draw_signal_ball, draw_smooth_signal,
                                   least_squares_baseline, recovery_error,
                                   run_imaging_demo, run_init_study,
                                   run_phase_transition, run_rate_comparison,
                                   to_db)
 from blindcal.geometry import draw_gain_perturbation
-from blindcal.model import generate_ensemble, sense
+from blindcal.model import SensingEnsemble, generate_ensemble, sense
 from blindcal.seeding import derive_seed
+from blindcal.solver import SolverConfig, solve
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +237,38 @@ def test_imaging_demo_color(tmp_path):
     assert len(report.channels) == 3
     assert report.error_db < -55.0
     assert (out / "x_hat.ppm").exists()
+
+
+def test_color_demo_draws_its_ensemble_once(tmp_path, monkeypatch):
+    path = tmp_path / "scene.ppm"
+    _write_test_image(str(path), side=8, channels=3, seed=3)
+    draws = []
+    original = SensingEnsemble._draw
+    monkeypatch.setattr(SensingEnsemble, "_draw",
+                        lambda self, l: draws.append(l) or original(self, l))
+    run_imaging_demo(str(path), m=8, p=16, rho=0.5, seed=4, tol=1e-7)
+    assert draws == list(range(16))
+
+
+def test_color_demo_matches_per_channel_solves(tmp_path):
+    path = tmp_path / "scene.ppm"
+    img = _write_test_image(str(path), side=8, channels=3, seed=3)
+    m, p, rho, seed, tol = 8, 16, 0.5, 4, 1e-7
+    report = run_imaging_demo(str(path), m=m, p=p, rho=rho, seed=seed, tol=tol)
+    config = SolverConfig(rho=rho, objective_tolerance=tol, record_trace=False)
+    for ci, channel in enumerate(report.channels):
+        inst = build_instance(img[ci].ravel(), draw_gains(m, rho, seed), rho, p, seed)
+        result = solve(inst.ensemble, inst.y, config)
+        x_ls = least_squares_baseline(inst.ensemble, inst.y)
+        truth = inst.truth
+        assert channel.signal_error_db == to_db(
+            np.linalg.norm(result.x_hat - truth.x_star) / np.linalg.norm(truth.x_star))
+        assert channel.gain_error_db == to_db(
+            np.linalg.norm(result.d_hat - truth.d_star) / np.linalg.norm(truth.d_star))
+        assert channel.ls_error_db == to_db(
+            np.linalg.norm(x_ls - truth.x_star) / np.linalg.norm(truth.x_star))
+        assert (channel.iterations, channel.stop_reason) == (result.iterations,
+                                                             result.stop_reason)
 
 
 def test_imaging_demo_rho_zero_matches_baseline(tmp_path):

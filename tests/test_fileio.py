@@ -182,6 +182,29 @@ def test_grid_round_trip(tmp_path):
         assert row["successes"] == round(row["probability"] * row["trials"])
 
 
+def test_trials_csv_pins_header_and_rows(tmp_path):
+    from blindcal.experiments import PhaseGridSpec, run_phase_transition
+    from blindcal.seeding import derive_seed
+    spec = PhaseGridSpec(n=8, m=4, p_values=(2, 8), rho_values=(0.1, 0.5),
+                         trials_per_cell=2, base_seed=1, max_iterations=200)
+    result = run_phase_transition(spec)
+    path = tmp_path / "trials.csv"
+    fileio.write_trials_csv(path, result)
+    header, *rows = path.read_text(encoding="ascii").splitlines()
+    assert header == ("cell,p,rho,trial,seed,stop_reason,iterations,error_db,objective,"
+                      "underdetermined,operator_passes")
+    assert len(rows) == len(result.trials) == 8
+    t = result.trials[5]  # cell 2 is (p=8, rho=0.1); its second trial
+    assert (t.cell, t.p, t.rho, t.trial) == (2, 8, 0.1, 1)
+    assert t.seed == derive_seed(1, [("cell", 2), ("trial", 1)])
+    assert t.operator_passes == t.iterations + 2 and t.seconds > 0.0
+    assert rows[5].split(",") == [
+        "2", "8", "0.1", "1", str(t.seed), t.stop_reason, str(t.iterations),
+        repr(t.error_db), repr(float(t.objective)), "0", str(t.operator_passes)]
+    # m*p = 8 < n + m - 1 = 11 at p = 2
+    assert [row.split(",")[9] for row in rows] == ["1"] * 4 + ["0"] * 4
+
+
 def test_report_json(tmp_path):
     path = tmp_path / "report.json"
     fileio.write_report_json(path, {"error_db": -61.5, "iterations": 12,

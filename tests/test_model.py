@@ -1,3 +1,5 @@
+import tracemalloc
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -23,6 +25,28 @@ def test_snapshots_differ_and_lazy_matches_stacked():
     for l in range(3):
         np.testing.assert_array_equal(stacked[l], fresh.matrix(l))
     assert not np.array_equal(stacked[0], stacked[1])
+
+
+def test_rademacher_stack_matches_lazy_twin():
+    stacked = generate_ensemble(7, 5, 4, "rademacher", seed=11).stacked()
+    fresh = generate_ensemble(7, 5, 4, "rademacher", seed=11)
+    for l in range(4):
+        np.testing.assert_array_equal(stacked[l], fresh.matrix(l))
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
+def test_cached_ensemble_costs_one_operator(distribution):
+    # the stack is filled in place: its peak is the operator plus one snapshot
+    n, m, p = 256, 16, 64
+    generate_ensemble(2, 2, 2, distribution).stacked()  # first-use imports, untraced
+    e = generate_ensemble(n, m, p, distribution, seed=3)
+    tracemalloc.start()
+    try:
+        e.stacked()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * p * m * n
 
 
 def test_rows_have_zero_mean():
