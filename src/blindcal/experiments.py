@@ -138,6 +138,10 @@ class PhaseGridSpec:
         check_count(self.trials_per_cell, "trials_per_cell")
         check_positive(-self.zeta_db, "-zeta_db")  # zeta_db finite and negative
 
+    def underdetermined(self, p: int) -> bool:
+        """m*p < n + m - 1: fewer measurements than unknowns up to scale."""
+        return self.m * p < self.n + self.m - 1
+
 
 @dataclass
 class TrialOutcome:

@@ -264,11 +264,11 @@ def write_trials_csv(path, result):
     """One row per trial of a phase grid; underdetermined (1 or 0) means
     m*p < n + m - 1, and commas in an error's stop reason become semicolons.
     Wall seconds are left out, so that reruns write identical bytes."""
-    n, m = result.spec.n, result.spec.m
     write_csv(path, _TRIAL_COLUMNS, (
         (str(t.cell), str(t.p), repr(float(t.rho)), str(t.trial), str(t.seed),
          t.stop_reason.replace(",", ";"), str(t.iterations), repr(float(t.error_db)),
-         repr(float(t.objective)), str(int(m * t.p < n + m - 1)), str(t.operator_passes))
+         repr(float(t.objective)), str(int(result.spec.underdetermined(t.p))),
+         str(t.operator_passes))
         for t in result.trials))
 
 

@@ -60,8 +60,8 @@ def project_C_rho(gamma, rho: float) -> np.ndarray:
     if rho == 0.0:
         return np.ones(gamma.size)
     z = gamma - 1.0
-    e = z - z.sum() / z.size
-    if abs(e).max() <= rho:
+    e = z - np.add.reduce(z) / z.size
+    if np.maximum.reduce(abs(e)) <= rho:
         return 1.0 + e
     return 1.0 + _breakpoint_projection(z, rho)
 
@@ -106,7 +106,7 @@ def delta(point, truth: GroundTruth) -> float:
     xi, gamma = as_point(point)
     xs = truth.x_star
     ds = truth.d_star
-    w = float(xs @ xs) / truth.m
+    w = truth.x_star_sq / truth.m
     return float(np.sum((xi - xs) ** 2) + w * np.sum((gamma - ds) ** 2))
 
 
@@ -120,7 +120,7 @@ def delta_F(point, truth: GroundTruth) -> float:
     xs = truth.x_star
     ds = truth.d_star
     value = (float(xi @ xi) * float(gamma @ gamma)
-             + float(xs @ xs) * float(ds @ ds)
+             + truth.x_star_sq * truth.d_star_sq
              - 2.0 * float(gamma @ ds) * float(xi @ xs)) / truth.m
     return max(value, 0.0)
 

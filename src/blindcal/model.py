@@ -178,8 +178,9 @@ class GroundTruth:
     Gains are stored already rescaled onto the scaled simplex (sum(d) = m),
     which pins the one representative of the scaling orbit that all error
     metrics compare against. ``x_star``/``d_star`` apply the exact rescaling
-    once more to absorb any residual drift in sum(d); they are computed once,
-    at construction, and are read-only.
+    once more to absorb any residual drift in sum(d); they and their squared
+    norms ``x_star_sq``/``d_star_sq`` are computed once, at construction, and
+    are read-only.
     """
 
     x: np.ndarray
@@ -187,6 +188,8 @@ class GroundTruth:
     rho: float
     x_star: np.ndarray = field(init=False, repr=False, compare=False)
     d_star: np.ndarray = field(init=False, repr=False, compare=False)
+    x_star_sq: float = field(init=False, repr=False, compare=False)
+    d_star_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("x", "d"):  # each a non-empty finite vector
@@ -205,6 +208,7 @@ class GroundTruth:
         for name, value in (("x_star", (total / m) * self.x), ("d_star", (m / total) * self.d)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+            object.__setattr__(self, f"{name}_sq", float(value @ value))
 
     @property
     def n(self) -> int:

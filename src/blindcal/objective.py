@@ -67,35 +67,42 @@ class GradientPair:
     objective: float | None = None
     ax: np.ndarray | None = None
 
-    @classmethod
-    def from_residual(cls, ax, r, back) -> GradientPair:
-        """The evaluation from A xi, the residual r (overwritten) and A^T (gamma * r)."""
-        p, m = r.shape
-        scale = 1.0 / (m * p)
-        objective = float((r * r).sum()) / (2.0 * m * p)
-        r *= ax
-        grad_gamma = scale * r.sum(axis=0)
-        return cls(grad_xi=scale * back, grad_gamma=grad_gamma,
-                   grad_gamma_projected=grad_gamma - grad_gamma.sum() / m,  # P grad_gamma
-                   objective=objective, ax=ax)
 
-
-def residual_block(rows, xi, gamma, y_b, ax_b, r_b) -> np.ndarray:
-    """A_b xi into ax_b, gamma * (A_b xi) - y_b into r_b; returns A_b^T (gamma * r_b)."""
+def residual_block(rows, xi, gamma, y_b, ax_b, r_b, image_b) -> np.ndarray:
+    """A_b xi into ax_b, gamma * (A_b xi) - y_b into r_b and gamma * r_b into
+    image_b; returns A_b^T (gamma * r_b)."""
     np.dot(rows, xi, out=ax_b.reshape(-1))
     np.multiply(gamma, ax_b, out=r_b)
     r_b -= y_b
-    return (gamma * r_b).reshape(-1) @ rows
+    return np.multiply(gamma, r_b, out=image_b).reshape(-1) @ rows
+
+
+def residual_terms(ax, r, back, image) -> tuple:
+    """grad_xi, grad_gamma, P grad_gamma and f, the first four fields of a
+    ``GradientPair``, from A xi, the residual r (overwritten), A^T (gamma * r)
+    and a (p, m) scratch image."""
+    p, m = r.shape
+    scale = 1.0 / (m * p)
+    objective = float(np.add.reduce(np.multiply(r, r, out=image), None)) / (2.0 * m * p)
+    r *= ax
+    grad_gamma = scale * np.add.reduce(r, 0)
+    return scale * back, grad_gamma, grad_gamma - np.add.reduce(grad_gamma) / m, objective
+
+
+def evaluate(ensemble, y, xi, gamma, ax, r, image) -> tuple:
+    """``residual_terms`` at (xi, gamma), unchecked, from one sweep over the
+    operator: A xi is written to ax, and r and image are (p, m) scratch."""
+    back = np.zeros(ensemble.n)
+    for sl, rows in ensemble.blocks():
+        back += residual_block(rows, xi, gamma, y[sl], ax[sl], r[sl], image[sl])
+    return residual_terms(ax, r, back, image)
 
 
 def gradients(ensemble, y, point) -> GradientPair:
     """Both gradient blocks, f and A xi, from one sweep over the operator."""
     xi, gamma, y = _check_shapes(ensemble, y, point)
-    n, m, p = ensemble.n, ensemble.m, ensemble.p
-    ax, r, back = np.empty((p, m)), np.empty((p, m)), np.zeros(n)
-    for sl, rows in ensemble.blocks():
-        back += residual_block(rows, xi, gamma, y[sl], ax[sl], r[sl])
-    return GradientPair.from_residual(ax, r, back)
+    ax, r, image = (np.empty((ensemble.p, ensemble.m)) for _ in range(3))
+    return GradientPair(*evaluate(ensemble, y, xi, gamma, ax, r, image), ax)
 
 
 def hessian(ensemble, y, point) -> np.ndarray:

@@ -27,10 +27,21 @@ A g, the new point's evaluation. With the start point's adjoint and
 evaluation, a k-iteration solve applies the operator exactly k + 2 times in
 either step mode. A zero direction still costs its pass; its step is 0
 because its image vanishes.
+
+Allocation and floating-point state: ``iterate`` and ``solve`` run one step
+routine (``_Descent.step``). A solve allocates its four (p, m) work arrays
+(A g, A xi, the residual and an image scratch) once, and enters
+``np.errstate(over="ignore", invalid="ignore")`` once, around its loop and
+the trace records taken in it; ``iterate`` does both once per call. An
+iteration still allocates vectors of length n or m only: the new iterate,
+the projection's temporaries, A^T (gamma * r) and the gradients. Overflow,
+and the inf - inf it leads to, is the divergence signal: a non-finite
+iterate or objective raises DivergenceError.
 """
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from collections import deque
@@ -42,7 +53,8 @@ from . import geometry
 from .errors import (DivergenceError, ParameterError, TheoryRangeWarning, check_array,
                      check_count, check_positive, check_rho)
 from .model import GroundTruth
-from .objective import GradientPair, adjoint, forward, gradients, residual_block
+from .objective import (GradientPair, adjoint, evaluate, forward, gradients, residual_block,
+                        residual_terms)
 
 LINE_SEARCH = "line_search"
 FIXED = "fixed"
@@ -110,7 +122,7 @@ class SolverTrace:
     delta_F: list[float | None] = field(default_factory=list)
     elapsed_seconds: list[float] = field(default_factory=list)
 
-    def record(self, state: SolverState, elapsed: float, truth: GroundTruth | None):
+    def record(self, state: SolverState | _Descent, elapsed: float, truth: GroundTruth | None):
         self.iteration.append(state.iteration)
         self.objective.append(state.objective)
         self.mu_xi.append(state.mu_xi)
@@ -140,8 +152,9 @@ def _evaluated(state: SolverState, ensemble, y) -> SolverState:
 
 
 def _step(direction: np.ndarray, image: np.ndarray, mp: int) -> float:
-    """Exact step mp ||direction||^2 / ||image||^2, or 0 when the image vanishes."""
-    den = float((image * image).sum())
+    """Exact step mp ||direction||^2 / ||image||^2, or 0 when the image
+    vanishes; the image is squared in place."""
+    den = float(np.add.reduce(np.multiply(image, image, out=image), None))
     return mp * float(direction @ direction) / den if den > 0.0 else 0.0
 
 
@@ -163,34 +176,71 @@ def exact_line_search(state: SolverState, ensemble, y) -> tuple[float, float]:
 
 
 def _finite(v: np.ndarray, iteration: int) -> np.ndarray:
-    if not np.isfinite(v).all():
+    if not np.logical_and.reduce(np.isfinite(v)):
         raise DivergenceError(f"iterate became non-finite at iteration {iteration}", iteration)
     return v
 
 
-def _line_search_sweep(state: SolverState, gamma_next, ensemble, y):
-    """mu_xi, xi' and the evaluation at (xi', gamma'), from one pass.
+class _Descent:
+    """The iterate of a descent with its evaluation, and the (p, m) arrays a
+    step writes (A g, A xi, r and an image scratch), allocated once.
 
-    Each block but the last gives A_b g, a fresh A_b xi (no drift is carried)
-    and the partials bv = A_b^T (gamma' * r_b(xi)), bu = A_b^T (gamma'^2 *
-    A_b g); there A xi' = A xi - mu A g. The last block, the only one of a
-    cached ensemble, is evaluated at xi' directly."""
-    g, xi = state.evaluation.grad_xi, state.xi
-    m, p = ensemble.m, ensemble.p
-    ag, ax, r = np.empty((p, m)), np.empty((p, m)), np.empty((p, m))
-    bv = bu = 0.0
-    for sl, rows in ensemble.blocks():
-        np.dot(rows, g, out=ag[sl].reshape(-1))
-        if sl.stop < p:
-            bv += residual_block(rows, xi, gamma_next, y[sl], ax[sl], r[sl])
-            bu += (gamma_next * gamma_next * ag[sl]).reshape(-1) @ rows
-    mu_xi = _step(g, state.gamma * ag, m * p)
-    xi_next = _finite(xi - mu_xi * g, state.iteration + 1)
-    if sl.start:  # the earlier blocks
-        ax[:sl.start] -= mu_xi * ag[:sl.start]
-        np.subtract(gamma_next * ax[:sl.start], y[:sl.start], out=r[:sl.start])
-    back = bv - mu_xi * bu + residual_block(rows, xi_next, gamma_next, y[sl], ax[sl], r[sl])
-    return mu_xi, xi_next, GradientPair.from_residual(ax, r, back)
+    ``step`` is the one descent update of ``iterate`` and ``solve``; call it
+    inside ``np.errstate(over="ignore", invalid="ignore")`` (see the module
+    docstring). The carried A xi lives in the work arrays: a step reads it
+    for the gain step before its sweep overwrites it.
+    """
+
+    def __init__(self, state: SolverState, config: SolverConfig, ensemble, y, fixed_steps):
+        grads = state.evaluation
+        self.xi, self.gamma, self.iteration = state.xi, state.gamma, state.iteration
+        self.objective, self.mu_xi, self.mu_gamma = state.objective, state.mu_xi, state.mu_gamma
+        self.g, self.h, self.ax = grads.grad_xi, grads.grad_gamma_projected, grads.ax
+        self.grad_gamma = grads.grad_gamma
+        self.config, self.ensemble, self.y, self.fixed_steps = config, ensemble, y, fixed_steps
+        self.work = tuple(np.empty((ensemble.p, ensemble.m)) for _ in range(4))
+
+    def step(self):
+        """Take the gain step from the carried A xi and project it; then one
+        sweep evaluates the new point. With line search, each block but the
+        last gives A_b g, a fresh A_b xi (no drift is carried) and the
+        partials bv = A_b^T (gamma' * r_b(xi)), bu = A_b^T (gamma'^2 * A_b g);
+        there A xi' = A xi - mu_xi A g. The last block, the only one of a
+        cached ensemble, is evaluated at xi' directly."""
+        config, ensemble, y, g, h, xi = self.config, self.ensemble, self.y, self.g, self.h, self.xi
+        ag, ax, r, image = self.work
+        p, mp, k = ensemble.p, ensemble.m * ensemble.p, self.iteration + 1
+        line_search = config.step_mode == LINE_SEARCH
+        if line_search:
+            mu_gamma = _step(h, np.multiply(self.ax, h, out=image), mp)
+        else:
+            mu_xi, mu_gamma = self.fixed_steps
+            xi_next = _finite(xi - mu_xi * g, k)
+        gamma = _finite(self.gamma - mu_gamma * h, k)
+        if config.apply_C_rho_projection:
+            gamma = geometry.project_C_rho(gamma, config.rho)
+        if line_search:
+            bv = bu = 0.0
+            for sl, rows in ensemble.blocks():
+                np.dot(rows, g, out=ag[sl].reshape(-1))
+                if sl.stop < p:
+                    bv += residual_block(rows, xi, gamma, y[sl], ax[sl], r[sl], image[sl])
+                    bu += (gamma * gamma * ag[sl]).reshape(-1) @ rows
+            mu_xi = _step(g, np.multiply(self.gamma, ag, out=image), mp)
+            xi_next = _finite(xi - mu_xi * g, k)
+            back = residual_block(rows, xi_next, gamma, y[sl], ax[sl], r[sl], image[sl])
+            if sl.start:  # the earlier blocks
+                ax[:sl.start] -= mu_xi * ag[:sl.start]
+                np.subtract(gamma * ax[:sl.start], y[:sl.start], out=r[:sl.start])
+                back += bv - mu_xi * bu
+            terms = residual_terms(ax, r, back, image)
+        else:
+            terms = evaluate(ensemble, y, xi_next, gamma, ax, r, image)
+        self.g, self.grad_gamma, self.h, f = terms
+        if not math.isfinite(f):
+            raise DivergenceError(f"objective became non-finite at iteration {k}", k)
+        self.xi, self.gamma, self.ax, self.iteration, self.objective = xi_next, gamma, ax, k, f
+        self.mu_xi, self.mu_gamma = mu_xi, mu_gamma
 
 
 def iterate(state: SolverState, config: SolverConfig, ensemble, y,
@@ -201,35 +251,17 @@ def iterate(state: SolverState, config: SolverConfig, ensemble, y,
     Line-search mode takes the exact block steps; fixed mode needs the step
     pair (mu_xi, mu_gamma) in ``fixed_steps``.
     """
-    state = _evaluated(state, ensemble, y)
-    grads = state.evaluation
-    h = grads.grad_gamma_projected
-    iteration = state.iteration + 1
-    if config.step_mode == LINE_SEARCH:
-        mu_gamma = _step(h, grads.ax * h, ensemble.m * ensemble.p)
-    elif fixed_steps is None:
+    if config.step_mode == FIXED and fixed_steps is None:
         raise ParameterError(
             "fixed step mode needs explicit (mu_xi, mu_gamma); "
             "solve() derives mu_gamma = mu * m / ||xi_0||^2")
-    else:
-        mu_xi, mu_gamma = fixed_steps
-        xi_next = _finite(state.xi - mu_xi * grads.grad_xi, iteration)
-    gamma_next = _finite(state.gamma - mu_gamma * h, iteration)
-    if config.apply_C_rho_projection:
-        gamma_next = geometry.project_C_rho(gamma_next, config.rho)
-
-    # overflow here (and the inf - inf it leads to) is the divergence signal
+    descent = _Descent(_evaluated(state, ensemble, y), config, ensemble, y, fixed_steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        if config.step_mode == LINE_SEARCH:
-            mu_xi, xi_next, grads_next = _line_search_sweep(state, gamma_next, ensemble, y)
-        else:
-            grads_next = gradients(ensemble, y, (xi_next, gamma_next))
-    f_next = grads_next.objective
-    if not np.isfinite(f_next):
-        raise DivergenceError(
-            f"objective became non-finite at iteration {iteration}", iteration)
-    return SolverState(xi_next, gamma_next, iteration, f_next, mu_xi, mu_gamma,
-                       grads_next)
+        descent.step()
+    return SolverState(descent.xi, descent.gamma, descent.iteration, descent.objective,
+                       descent.mu_xi, descent.mu_gamma,
+                       GradientPair(descent.g, descent.grad_gamma, descent.h,
+                                    descent.objective, descent.ax))
 
 
 @dataclass
@@ -241,6 +273,10 @@ class SolveResult:
     iterations: int
     objective: float
     operator_passes: int = 0  # applications of the operator, start point included
+    # wall time of the start (initialise and the first evaluation) and of
+    # everything after it (the descent loop and its trace)
+    start_seconds: float = 0.0
+    iteration_seconds: float = 0.0
 
 
 def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -> SolveResult:
@@ -258,8 +294,8 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
     passes0 = ensemble.operator_passes
     xi0, gamma0 = initialise(ensemble, y)
     grads0 = gradients(ensemble, y, (xi0, gamma0))
+    t_start = time.perf_counter()
     f0 = grads0.objective
-    state = SolverState(xi0, gamma0, 0, f0, evaluation=grads0)
 
     fixed_steps = None
     if config.step_mode == FIXED:
@@ -267,6 +303,8 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
         if norm0 == 0.0:
             raise ParameterError("zero initial signal estimate; cannot scale gain step")
         fixed_steps = (config.mu, config.mu * ensemble.m / norm0)
+    state = _Descent(SolverState(xi0, gamma0, 0, f0, evaluation=grads0),
+                     config, ensemble, y, fixed_steps)
 
     trace = SolverTrace()
     if config.record_trace:
@@ -274,28 +312,31 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
 
     recent = deque([f0], maxlen=STAGNATION_WINDOW + 1)
     stop = CONVERGED if f0 < config.objective_tolerance else None
-    while stop is None:
-        if state.iteration >= config.max_iterations:
-            stop = MAX_ITERATIONS
-        elif (len(recent) > STAGNATION_WINDOW
-              and recent[0] - state.objective < STAGNATION_RTOL * max(recent[0], 1e-300)):
-            stop = STAGNATED
-        else:
-            previous_objective = state.objective
-            state = iterate(state, config, ensemble, y, fixed_steps)
-            recent.append(state.objective)
-            if config.record_trace and (state.iteration <= TRACE_DENSE_LIMIT
-                                        or state.iteration % 10 == 0):
-                trace.record(state, time.perf_counter() - t0, truth)
-            if previous_objective < config.objective_tolerance:
-                stop = CONVERGED
+    with np.errstate(over="ignore", invalid="ignore"):  # see _Descent
+        while stop is None:
+            if state.iteration >= config.max_iterations:
+                stop = MAX_ITERATIONS
+            elif (len(recent) > STAGNATION_WINDOW
+                  and recent[0] - state.objective < STAGNATION_RTOL * max(recent[0], 1e-300)):
+                stop = STAGNATED
+            else:
+                previous_objective = state.objective
+                state.step()
+                recent.append(state.objective)
+                if config.record_trace and (state.iteration <= TRACE_DENSE_LIMIT
+                                            or state.iteration % 10 == 0):
+                    trace.record(state, time.perf_counter() - t0, truth)
+                if previous_objective < config.objective_tolerance:
+                    stop = CONVERGED
 
     if config.record_trace and trace.iteration[-1] != state.iteration:
         trace.record(state, time.perf_counter() - t0, truth)
     return SolveResult(x_hat=state.xi, d_hat=state.gamma, trace=trace,
                        stop_reason=stop, iterations=state.iteration,
                        objective=state.objective,
-                       operator_passes=ensemble.operator_passes - passes0)
+                       operator_passes=ensemble.operator_passes - passes0,
+                       start_seconds=t_start - t0,
+                       iteration_seconds=time.perf_counter() - t_start)
 
 
 # ---------------------------------------------------------------------------

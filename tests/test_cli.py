@@ -6,7 +6,7 @@ import pytest
 
 from blindcal import experiments, fileio
 from blindcal.cli import dispatch
-from blindcal.errors import BlindcalError
+from blindcal.errors import BlindcalError, DivergenceError
 from blindcal.experiments import PhaseGridSpec, RateComparisonSpec
 
 
@@ -201,6 +201,32 @@ def test_phase_transition_writes_one_row_per_trial(tmp_path):
     assert header.startswith("cell,p,rho,trial,seed,stop_reason,")
     assert [row.split(",")[:2] for row in rows] == [["0", "2"], ["0", "2"],
                                                    ["1", "16"], ["1", "16"]]
+
+
+def test_phase_transition_prints_outcome_counts(tmp_path, capsys, monkeypatch):
+    solve = experiments.solve
+
+    def diverge_at_p16(ensemble, y, config, truth=None):
+        if ensemble.p == 16:
+            raise DivergenceError("objective became non-finite at iteration 1", 1)
+        return solve(ensemble, y, config, truth=truth)
+
+    monkeypatch.setattr(experiments, "solve", diverge_at_p16)
+    code = run(["phase-transition", "--n", "12", "--m", "6", "--p-values", "2,4,16",
+                "--rho-values", "0.01", "--trials", "2", "--max-iterations", "300",
+                "--out", str(tmp_path)])
+    assert code == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    # recounted from the trials the same grid gives in the library
+    trials = experiments.run_phase_transition(PhaseGridSpec(
+        n=12, m=6, p_values=(2, 4, 16), rho_values=(0.01,), trials_per_cell=2,
+        max_iterations=300)).trials
+    failed = sum(t.stop_reason == "converged" and not t.success for t in trials)
+    under = sum(6 * t.p < 12 + 6 - 1 for t in trials)
+    diverged = sum(t.stop_reason.startswith("error:") for t in trials)
+    assert (failed, under, diverged) == (4, 2, 2)  # p=4 is identifiable yet fails
+    assert summary == (f"  of 6 trials: {failed} converged but failed, {under} underdetermined "
+                       f"(m*p < n + m - 1), {diverged} diverged")
 
 
 def test_malformed_config_is_usage_error(tmp_path, capsys):

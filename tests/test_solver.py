@@ -1,3 +1,6 @@
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -574,3 +577,56 @@ def test_lazy_line_search_carries_a_fresh_evaluation(monkeypatch):
         state = iterate(state, config, inst.ensemble, inst.y)
         fresh = gradients(inst.ensemble, inst.y, (state.xi, state.gamma))
         assert_same_evaluation(state.evaluation, fresh, close_in_norm)
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["cached", "lazy"])
+@pytest.mark.parametrize("mode", [LINE_SEARCH, FIXED])
+def test_solve_is_a_loop_of_iterate(monkeypatch, lazy, mode):
+    inst = trajectory_instance(monkeypatch, lazy)
+    config = SolverConfig(step_mode=mode, mu=2e-3, rho=0.3,
+                          objective_tolerance=1e-30, max_iterations=40)
+    result = solve(inst.ensemble, inst.y, config)
+    # the same descent by hand, through the public step
+    before = inst.ensemble.operator_passes
+    xi, gamma = initialise(inst.ensemble, inst.y)
+    grads = gradients(inst.ensemble, inst.y, (xi, gamma))
+    fixed = (2e-3, 2e-3 * inst.ensemble.m / float(xi @ xi)) if mode == FIXED else None
+    states = [SolverState(xi, gamma, 0, grads.objective, evaluation=grads)]
+    for _ in range(40):
+        states.append(iterate(states[-1], config, inst.ensemble, inst.y, fixed))
+    last = states[-1]
+    assert (result.stop_reason, result.iterations) == (MAX_ITERATIONS, last.iteration)
+    np.testing.assert_array_equal(result.x_hat, last.xi)
+    np.testing.assert_array_equal(result.d_hat, last.gamma)
+    assert result.objective == last.objective
+    assert result.trace.objective == [s.objective for s in states]
+    assert result.trace.mu_xi == [s.mu_xi for s in states]
+    assert result.trace.mu_gamma == [s.mu_gamma for s in states]
+    assert result.operator_passes == inst.ensemble.operator_passes - before == 40 + 2
+
+
+def test_divergent_iterate_raises_without_warning():
+    # the divergent step of test_divergent_step_raises, one bare iterate() at a time
+    truth, ensemble, y = make_instance()
+    config = SolverConfig(step_mode=FIXED, mu=1e12, rho=truth.rho, max_iterations=50)
+    with pytest.raises(DivergenceError) as in_solve:
+        solve(ensemble, y, config)
+    xi, gamma = initialise(ensemble, y)
+    state = state_at(ensemble, y, xi, gamma)
+    fixed = (1e12, 1e12 * ensemble.m / float(xi @ xi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would raise in place of the guard
+        with pytest.raises(DivergenceError) as err:
+            for _ in range(50):
+                state = iterate(state, config, ensemble, y, fixed)
+    assert err.value.iteration == in_solve.value.iteration > 1
+
+
+def test_solve_times_its_stages():
+    inst = draw_instance(12, 6, 6, 0.3, seed=90)
+    config = SolverConfig(rho=0.3, max_iterations=30)
+    t0 = time.perf_counter()
+    result = solve(inst.ensemble, inst.y, config)
+    wall = time.perf_counter() - t0
+    assert result.start_seconds >= 0.0 and result.iteration_seconds >= 0.0
+    assert result.start_seconds + result.iteration_seconds <= wall
