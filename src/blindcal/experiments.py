@@ -225,9 +225,9 @@ def least_squares_baseline(ensemble, y) -> np.ndarray:
     rtol, max_iterations = 1e-10, 10 * n
     scale = 1.0 / (m * p)
     y = check_array(y, (p, m), "snapshots", finite=True)
-    b = scale * adjoint(ensemble, y)
     if m * p < n:
         raise SingularityError(f"normal equations underdetermined: mp = {m * p} < n = {n}")
+    b = scale * adjoint(ensemble, y)
 
     zeros, ones = np.zeros((p, m)), np.ones(m)
 

@@ -6,10 +6,12 @@ where the ``A_l`` are independent m-by-n random matrices with i.i.d. centred
 isotropic rows and ``d`` is a fixed vector of positive per-sensor gains.
 
 Every application of the operator is one loop over ``SensingEnsemble.blocks()``,
-the one place that chooses between the cached stack and regeneration, and
-the one place that counts operator passes. A cached ensemble builds its one
-block, the flattened (p*m, n) view of the stack, once and hands out that
-same block on every pass.
+which chooses between the cached stack and regeneration and counts one
+operator pass per call. A cached ensemble builds its one block, the
+flattened (p*m, n) view of the stack, once and hands out that same block on
+every pass. ``matrix(l)`` makes the same choice for one snapshot; the
+diagnostics that read snapshots one at a time through ``iter_matrices()``
+(``objective.hessian``, ``experiments.check_concentration``) count no pass.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ def objective_value(ensemble, y, point) -> float:
     return float(np.sum(r * r)) / (2.0 * ensemble.m * ensemble.p)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GradientPair:
     """Signal gradient, gain gradient, and the zero-sum-projected gain gradient.
 

@@ -28,15 +28,18 @@ evaluation, a k-iteration solve applies the operator exactly k + 2 times in
 either step mode. A zero direction still costs its pass; its step is 0
 because its image vanishes.
 
-Allocation and floating-point state: ``iterate`` and ``solve`` run one step
-routine (``_Descent.step``). A solve allocates its four (p, m) work arrays
-(A g, A xi, the residual and an image scratch) once, and enters
-``np.errstate(over="ignore", invalid="ignore")`` once, around its loop and
-the trace records taken in it; ``iterate`` does both once per call. An
-iteration still allocates vectors of length n or m only: the new iterate,
-the projection's temporaries, A^T (gamma * r) and the gradients. Overflow,
-and the inf - inf it leads to, is the divergence signal: a non-finite
-iterate or objective raises DivergenceError.
+Allocation and floating-point state: a ``SolverState`` and its
+``GradientPair`` are the descent's one state, which ``_advance``, the one
+step, updates in place. A solve builds that state from the start point's
+evaluation; it allocates four (p, m) work arrays (A g, A xi, the residual
+and an image scratch) and enters ``np.errstate(over="ignore",
+invalid="ignore")`` once each, around its loop and the trace records taken
+in it. ``iterate`` advances a copy of its argument with fresh work arrays in
+its own errstate. An iteration creates no state object and allocates
+vectors of length n or m only: the new iterate, the projection's
+temporaries, A^T (gamma * r) and the gradients. Overflow, and the inf - inf
+it leads to, is the divergence signal: a non-finite iterate or objective
+raises DivergenceError.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ class SolverConfig:
         check_count(self.max_iterations, "max_iterations")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SolverState:
     """An iterate, its objective, and the steps that produced it (0 at the start).
 
@@ -122,7 +125,7 @@ class SolverTrace:
     delta_F: list[float | None] = field(default_factory=list)
     elapsed_seconds: list[float] = field(default_factory=list)
 
-    def record(self, state: SolverState | _Descent, elapsed: float, truth: GroundTruth | None):
+    def record(self, state: SolverState, elapsed: float, truth: GroundTruth | None):
         self.iteration.append(state.iteration)
         self.objective.append(state.objective)
         self.mu_xi.append(state.mu_xi)
@@ -181,72 +184,63 @@ def _finite(v: np.ndarray, iteration: int) -> np.ndarray:
     return v
 
 
-class _Descent:
-    """The iterate of a descent with its evaluation, and the (p, m) arrays a
-    step writes (A g, A xi, r and an image scratch), allocated once.
+def _advance(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps, work):
+    """The one descent update of ``iterate`` and ``solve``: advance the state
+    and its evaluation in place, writing A g, A xi, r and an image scratch to
+    the four (p, m) ``work`` arrays. Call it inside ``np.errstate(over="ignore",
+    invalid="ignore")`` (see the module docstring).
 
-    ``step`` is the one descent update of ``iterate`` and ``solve``; call it
-    inside ``np.errstate(over="ignore", invalid="ignore")`` (see the module
-    docstring). The carried A xi lives in the work arrays: a step reads it
-    for the gain step before its sweep overwrites it.
+    Take the gain step from the carried A xi and project it; then one sweep
+    evaluates the new point. With line search, each block but the last gives
+    A_b g, a fresh A_b xi (no drift is carried) and the partials
+    bv = A_b^T (gamma' * r_b(xi)), bu = A_b^T (gamma'^2 * A_b g); there
+    A xi' = A xi - mu_xi A g. The last block, the only one of a cached
+    ensemble, is evaluated at xi' directly. The evaluation's A xi is then
+    ``work[1]``, which the next step reads for its gain step before its sweep
+    overwrites it.
     """
-
-    def __init__(self, state: SolverState, config: SolverConfig, ensemble, y, fixed_steps):
-        grads = state.evaluation
-        self.xi, self.gamma, self.iteration = state.xi, state.gamma, state.iteration
-        self.objective, self.mu_xi, self.mu_gamma = state.objective, state.mu_xi, state.mu_gamma
-        self.g, self.h, self.ax = grads.grad_xi, grads.grad_gamma_projected, grads.ax
-        self.grad_gamma = grads.grad_gamma
-        self.config, self.ensemble, self.y, self.fixed_steps = config, ensemble, y, fixed_steps
-        self.work = tuple(np.empty((ensemble.p, ensemble.m)) for _ in range(4))
-
-    def step(self):
-        """Take the gain step from the carried A xi and project it; then one
-        sweep evaluates the new point. With line search, each block but the
-        last gives A_b g, a fresh A_b xi (no drift is carried) and the
-        partials bv = A_b^T (gamma' * r_b(xi)), bu = A_b^T (gamma'^2 * A_b g);
-        there A xi' = A xi - mu_xi A g. The last block, the only one of a
-        cached ensemble, is evaluated at xi' directly."""
-        config, ensemble, y, g, h, xi = self.config, self.ensemble, self.y, self.g, self.h, self.xi
-        ag, ax, r, image = self.work
-        p, mp, k = ensemble.p, ensemble.m * ensemble.p, self.iteration + 1
-        line_search = config.step_mode == LINE_SEARCH
-        if line_search:
-            mu_gamma = _step(h, np.multiply(self.ax, h, out=image), mp)
-        else:
-            mu_xi, mu_gamma = self.fixed_steps
-            xi_next = _finite(xi - mu_xi * g, k)
-        gamma = _finite(self.gamma - mu_gamma * h, k)
-        if config.apply_C_rho_projection:
-            gamma = geometry.project_C_rho(gamma, config.rho)
-        if line_search:
-            bv = bu = 0.0
-            for sl, rows in ensemble.blocks():
-                np.dot(rows, g, out=ag[sl].reshape(-1))
-                if sl.stop < p:
-                    bv += residual_block(rows, xi, gamma, y[sl], ax[sl], r[sl], image[sl])
-                    bu += (gamma * gamma * ag[sl]).reshape(-1) @ rows
-            mu_xi = _step(g, np.multiply(self.gamma, ag, out=image), mp)
-            xi_next = _finite(xi - mu_xi * g, k)
-            back = residual_block(rows, xi_next, gamma, y[sl], ax[sl], r[sl], image[sl])
-            if sl.start:  # the earlier blocks
-                ax[:sl.start] -= mu_xi * ag[:sl.start]
-                np.subtract(gamma * ax[:sl.start], y[:sl.start], out=r[:sl.start])
-                back += bv - mu_xi * bu
-            terms = residual_terms(ax, r, back, image)
-        else:
-            terms = evaluate(ensemble, y, xi_next, gamma, ax, r, image)
-        self.g, self.grad_gamma, self.h, f = terms
-        if not math.isfinite(f):
-            raise DivergenceError(f"objective became non-finite at iteration {k}", k)
-        self.xi, self.gamma, self.ax, self.iteration, self.objective = xi_next, gamma, ax, k, f
-        self.mu_xi, self.mu_gamma = mu_xi, mu_gamma
+    grads, xi = state.evaluation, state.xi
+    g, h = grads.grad_xi, grads.grad_gamma_projected
+    ag, ax, r, image = work
+    p, mp, k = ensemble.p, ensemble.m * ensemble.p, state.iteration + 1
+    line_search = config.step_mode == LINE_SEARCH
+    if line_search:
+        mu_gamma = _step(h, np.multiply(grads.ax, h, out=image), mp)
+    else:
+        mu_xi, mu_gamma = fixed_steps
+        xi_next = _finite(xi - mu_xi * g, k)
+    gamma = _finite(state.gamma - mu_gamma * h, k)
+    if config.apply_C_rho_projection:
+        gamma = geometry.project_C_rho(gamma, config.rho)
+    if line_search:
+        bv = bu = 0.0
+        for sl, rows in ensemble.blocks():
+            np.dot(rows, g, out=ag[sl].reshape(-1))
+            if sl.stop < p:
+                bv += residual_block(rows, xi, gamma, y[sl], ax[sl], r[sl], image[sl])
+                bu += (gamma * gamma * ag[sl]).reshape(-1) @ rows
+        mu_xi = _step(g, np.multiply(state.gamma, ag, out=image), mp)
+        xi_next = _finite(xi - mu_xi * g, k)
+        back = residual_block(rows, xi_next, gamma, y[sl], ax[sl], r[sl], image[sl])
+        if sl.start:  # the earlier blocks
+            ax[:sl.start] -= mu_xi * ag[:sl.start]
+            np.subtract(gamma * ax[:sl.start], y[:sl.start], out=r[:sl.start])
+            back += bv - mu_xi * bu
+        terms = residual_terms(ax, r, back, image)
+    else:
+        terms = evaluate(ensemble, y, xi_next, gamma, ax, r, image)
+    grads.grad_xi, grads.grad_gamma, grads.grad_gamma_projected, f = terms
+    if not math.isfinite(f):
+        raise DivergenceError(f"objective became non-finite at iteration {k}", k)
+    grads.objective, grads.ax = f, ax
+    state.xi, state.gamma, state.iteration, state.objective = xi_next, gamma, k, f
+    state.mu_xi, state.mu_gamma = mu_xi, mu_gamma
 
 
 def iterate(state: SolverState, config: SolverConfig, ensemble, y,
             fixed_steps=None) -> SolverState:
     """Apply one descent update; the new state carries the steps taken and
-    its own evaluation.
+    its own evaluation, and ``state`` is left unchanged.
 
     Line-search mode takes the exact block steps; fixed mode needs the step
     pair (mu_xi, mu_gamma) in ``fixed_steps``.
@@ -255,13 +249,12 @@ def iterate(state: SolverState, config: SolverConfig, ensemble, y,
         raise ParameterError(
             "fixed step mode needs explicit (mu_xi, mu_gamma); "
             "solve() derives mu_gamma = mu * m / ||xi_0||^2")
-    descent = _Descent(_evaluated(state, ensemble, y), config, ensemble, y, fixed_steps)
+    state = _evaluated(state, ensemble, y)
+    state = replace(state, evaluation=replace(state.evaluation))
+    work = tuple(np.empty((ensemble.p, ensemble.m)) for _ in range(4))
     with np.errstate(over="ignore", invalid="ignore"):
-        descent.step()
-    return SolverState(descent.xi, descent.gamma, descent.iteration, descent.objective,
-                       descent.mu_xi, descent.mu_gamma,
-                       GradientPair(descent.g, descent.grad_gamma, descent.h,
-                                    descent.objective, descent.ax))
+        _advance(state, config, ensemble, y, fixed_steps, work)
+    return state
 
 
 @dataclass
@@ -303,8 +296,8 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
         if norm0 == 0.0:
             raise ParameterError("zero initial signal estimate; cannot scale gain step")
         fixed_steps = (config.mu, config.mu * ensemble.m / norm0)
-    state = _Descent(SolverState(xi0, gamma0, 0, f0, evaluation=grads0),
-                     config, ensemble, y, fixed_steps)
+    state = SolverState(xi0, gamma0, 0, f0, evaluation=grads0)
+    work = tuple(np.empty((ensemble.p, ensemble.m)) for _ in range(4))
 
     trace = SolverTrace()
     if config.record_trace:
@@ -312,7 +305,7 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
 
     recent = deque([f0], maxlen=STAGNATION_WINDOW + 1)
     stop = CONVERGED if f0 < config.objective_tolerance else None
-    with np.errstate(over="ignore", invalid="ignore"):  # see _Descent
+    with np.errstate(over="ignore", invalid="ignore"):  # see _advance
         while stop is None:
             if state.iteration >= config.max_iterations:
                 stop = MAX_ITERATIONS
@@ -321,7 +314,7 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
                 stop = STAGNATED
             else:
                 previous_objective = state.objective
-                state.step()
+                _advance(state, config, ensemble, y, fixed_steps, work)
                 recent.append(state.objective)
                 if config.record_trace and (state.iteration <= TRACE_DENSE_LIMIT
                                             or state.iteration % 10 == 0):

@@ -160,6 +160,16 @@ def test_baseline_rejects_underdetermined():
         least_squares_baseline(ensemble, y)
 
 
+def test_baseline_rejects_underdetermined_before_any_pass(monkeypatch):
+    # on a lazy ensemble each pass regenerates every snapshot
+    monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 0)
+    ensemble = generate_ensemble(16, 2, 2, "gaussian", 18)
+    assert ensemble.stacked() is None
+    with pytest.raises(SingularityError):
+        least_squares_baseline(ensemble, np.ones((2, 2)))
+    assert ensemble.operator_passes == 0
+
+
 # ---------------------------------------------------------------------------
 # concentration
 # ---------------------------------------------------------------------------

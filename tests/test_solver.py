@@ -1,3 +1,4 @@
+import copy
 import time
 import warnings
 
@@ -603,6 +604,34 @@ def test_solve_is_a_loop_of_iterate(monkeypatch, lazy, mode):
     assert result.trace.mu_xi == [s.mu_xi for s in states]
     assert result.trace.mu_gamma == [s.mu_gamma for s in states]
     assert result.operator_passes == inst.ensemble.operator_passes - before == 40 + 2
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["cached", "lazy"])
+@pytest.mark.parametrize("mode", [LINE_SEARCH, FIXED])
+@pytest.mark.parametrize("carried", [True, False], ids=["carried", "bare"])
+def test_iterate_leaves_its_argument_untouched(monkeypatch, lazy, mode, carried):
+    inst = trajectory_instance(monkeypatch, lazy)
+    config = SolverConfig(step_mode=mode, mu=2e-3, rho=0.3)
+    xi, gamma = initialise(inst.ensemble, inst.y)
+    fixed = (2e-3, 2e-3 * inst.ensemble.m / float(xi @ xi)) if mode == FIXED else None
+    # one step in, so both steps are nonzero and A xi is a step's work array
+    state = iterate(state_at(inst.ensemble, inst.y, xi, gamma), config, inst.ensemble, inst.y,
+                    fixed)
+    if not carried:
+        state = SolverState(state.xi, state.gamma, state.iteration, state.objective,
+                            state.mu_xi, state.mu_gamma)
+    before = copy.deepcopy(state)
+    after = iterate(state, config, inst.ensemble, inst.y, fixed)
+    assert after is not state and after.iteration == state.iteration + 1
+    for name in ("xi", "gamma", "iteration", "objective", "mu_xi", "mu_gamma"):
+        np.testing.assert_array_equal(getattr(state, name), getattr(before, name))
+    assert state.mu_xi > 0.0 and state.mu_gamma > 0.0
+    if carried:
+        assert state.evaluation is not after.evaluation
+        assert_same_evaluation(state.evaluation, before.evaluation,
+                               np.testing.assert_array_equal)
+    else:
+        assert state.evaluation is None
 
 
 def test_divergent_iterate_raises_without_warning():
