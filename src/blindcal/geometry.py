@@ -98,31 +98,37 @@ def _breakpoint_projection(z: np.ndarray, rho: float) -> np.ndarray:
     return e
 
 
-def delta(point, truth: GroundTruth) -> float:
+def _dot(a: np.ndarray, b: np.ndarray):
+    """Row-wise a . b; stacked matmul runs numpy's 1-d dot kernel per row."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def delta(point, truth: GroundTruth):
     """Weighted squared distance to the canonical minimiser:
 
     ||xi - x*||^2 + (||x*||^2 / m) ||gamma - d*||^2.
+
+    A point (xi (n,), gamma (m,)) gives a float; a stack ((k, n), (k, m))
+    gives an array of the k row distances, each the bits of its own call.
     """
     xi, gamma = as_point(point)
-    xs = truth.x_star
-    ds = truth.d_star
-    w = truth.x_star_sq / truth.m
-    return float(np.sum((xi - xs) ** 2) + w * np.sum((gamma - ds) ** 2))
+    value = (np.add.reduce((xi - truth.x_star) ** 2, axis=-1)
+             + truth.x_star_sq / truth.m * np.add.reduce((gamma - truth.d_star) ** 2, axis=-1))
+    return float(value) if xi.ndim == 1 else value
 
 
-def delta_F(point, truth: GroundTruth) -> float:
+def delta_F(point, truth: GroundTruth):
     """Frobenius pre-metric (1/m) || xi gamma^T - x* d*^T ||_F^2.
 
     Evaluated through the expanded form to avoid materialising the n-by-m
-    outer products; tiny negative values from cancellation clamp to zero.
+    outer products; tiny negative values from cancellation clamp to zero
+    (-0.0 stays, as with max). Takes a point or a stack, as ``delta`` does.
     """
     xi, gamma = as_point(point)
-    xs = truth.x_star
-    ds = truth.d_star
-    value = (float(xi @ xi) * float(gamma @ gamma)
-             + truth.x_star_sq * truth.d_star_sq
-             - 2.0 * float(gamma @ ds) * float(xi @ xs)) / truth.m
-    return max(value, 0.0)
+    value = (_dot(xi, xi) * _dot(gamma, gamma) + truth.x_star_sq * truth.d_star_sq
+             - 2.0 * _dot(gamma, truth.d_star) * _dot(xi, truth.x_star)) / truth.m
+    value = np.where(value < 0.0, 0.0, value)
+    return float(value) if xi.ndim == 1 else value
 
 
 def draw_gain_perturbation(m: int, rho: float, seed: int) -> np.ndarray:

@@ -39,7 +39,9 @@ its own errstate. An iteration creates no state object and allocates
 vectors of length n or m only: the new iterate, the projection's
 temporaries, A^T (gamma * r) and the gradients. Overflow, and the inf - inf
 it leads to, is the divergence signal: a non-finite iterate or objective
-raises DivergenceError.
+raises DivergenceError. As a step writes only new iterate arrays, a trace
+with ground truth keeps each recorded iterate and fills in the distances of
+TRACE_CHUNK records at once; all are filled when ``solve`` returns.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ STAGNATED = "stagnated"
 
 # Trace thinning: record every iteration up to this count, then every 10th.
 TRACE_DENSE_LIMIT = 10_000
+# Trace distances are computed for this many records at a time.
+TRACE_CHUNK = 256
 
 # Stagnation: stop when f fell by less than STAGNATION_RTOL (relative) over
 # the last STAGNATION_WINDOW iterations.
@@ -115,7 +119,9 @@ class SolverState:
 
 @dataclass
 class SolverTrace:
-    """Per-iteration history; delta columns stay None without ground truth."""
+    """Per-iteration history; delta columns stay None without ground truth. With
+    it they are filled TRACE_CHUNK records at a time, and complete when ``solve``
+    returns; only those fills add distance work to ``elapsed_seconds``."""
 
     iteration: list[int] = field(default_factory=list)
     objective: list[float] = field(default_factory=list)
@@ -125,15 +131,29 @@ class SolverTrace:
     delta_F: list[float | None] = field(default_factory=list)
     elapsed_seconds: list[float] = field(default_factory=list)
 
+    def __post_init__(self):
+        self._pending = []  # recorded (xi, gamma) whose distances are not filled yet
+
     def record(self, state: SolverState, elapsed: float, truth: GroundTruth | None):
         self.iteration.append(state.iteration)
         self.objective.append(state.objective)
         self.mu_xi.append(state.mu_xi)
         self.mu_gamma.append(state.mu_gamma)
-        point = (state.xi, state.gamma)
-        self.delta.append(geometry.delta(point, truth) if truth is not None else None)
-        self.delta_F.append(geometry.delta_F(point, truth) if truth is not None else None)
+        self.delta.append(None)
+        self.delta_F.append(None)
         self.elapsed_seconds.append(elapsed)
+        if truth is not None:
+            self._pending.append((state.xi, state.gamma))
+            if len(self._pending) == TRACE_CHUNK:
+                self.fill_distances(truth)
+
+    def fill_distances(self, truth: GroundTruth | None):
+        """Fill in the distances of the iterates recorded since the last fill."""
+        if self._pending:
+            k, stack = len(self._pending), tuple(map(np.stack, zip(*self._pending)))
+            self.delta[-k:] = geometry.delta(stack, truth).tolist()
+            self.delta_F[-k:] = geometry.delta_F(stack, truth).tolist()
+            self._pending.clear()
 
 
 def initialise(ensemble, y) -> tuple[np.ndarray, np.ndarray]:
@@ -284,6 +304,9 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
     delta and delta_F of each recorded iterate.
     """
     t0 = time.perf_counter()
+    if truth is not None:
+        check_array(truth.x, (ensemble.n,), "truth.x")
+        check_array(truth.d, (ensemble.m,), "truth.d")
     passes0 = ensemble.operator_passes
     xi0, gamma0 = initialise(ensemble, y)
     grads0 = gradients(ensemble, y, (xi0, gamma0))
@@ -324,6 +347,7 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
 
     if config.record_trace and trace.iteration[-1] != state.iteration:
         trace.record(state, time.perf_counter() - t0, truth)
+    trace.fill_distances(truth)
     return SolveResult(x_hat=state.xi, d_hat=state.gamma, trace=trace,
                        stop_reason=stop, iterations=state.iteration,
                        objective=state.objective,

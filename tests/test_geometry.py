@@ -275,6 +275,24 @@ def test_delta_gain_offset():
         assert delta((t.x_star, gamma), t) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 2, 300])
+def test_stacked_distances_equal_the_per_point_calls(k):
+    rng = np.random.default_rng(k)
+    for scale in 10.0 ** np.arange(-6, 7, 2):
+        t = _truth(n=40, m=8, seed=k)
+        t = GroundTruth(x=scale * t.x, d=t.d, rho=t.rho)
+        xi = t.x_star + scale * 10.0 ** rng.uniform(-8, 0, (k, 1)) * rng.standard_normal((k, 40))
+        gamma = t.d_star + 10.0 ** rng.uniform(-8, -1, (k, 1)) * rng.standard_normal((k, 8))
+        xi[0], gamma[0] = 1.7 * t.x_star, t.d_star / 1.7  # scaling orbit: delta_F clamps
+        for distance in (delta, delta_F):
+            rows = [distance((a, b), t) for a, b in zip(xi, gamma)]
+            assert all(type(r) is float for r in rows)
+            stacked = distance((xi, gamma), t)
+            assert isinstance(stacked, np.ndarray) and stacked.shape == (k,)
+            np.testing.assert_array_equal(stacked, rows)
+            assert list(np.signbit(stacked)) == list(np.signbit(rows))
+
+
 def test_delta_F_vanishes_on_scaling_orbit():
     t = _truth()
     for alpha in (0.5, 1.0, -2.0):

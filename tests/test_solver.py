@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from blindcal.errors import DivergenceError, ParameterError, TheoryRangeWarning
+from blindcal.errors import DimensionError, DivergenceError, ParameterError, TheoryRangeWarning
 from blindcal.experiments import draw_instance, recovery_error
-from blindcal.geometry import delta, draw_gain_perturbation, project_C_rho
+from blindcal.geometry import delta, delta_F, draw_gain_perturbation, project_C_rho
 from blindcal.model import GroundTruth, SensingEnsemble, generate_ensemble, sense
 from blindcal.objective import forward, gradients, objective_value
 from blindcal.solver import (CONVERGED, FIXED, LINE_SEARCH, MAX_ITERATIONS,
@@ -223,6 +223,18 @@ def test_stagnation_guard():
     result = solve(ensemble, y, config)
     assert result.stop_reason == "stagnated"
     assert result.objective < 1e-25
+
+
+@pytest.mark.parametrize("record_trace", [True, False])
+@pytest.mark.parametrize("bad", ["x", "d"])
+def test_solve_checks_truth_before_the_operator(record_trace, bad):
+    inst = draw_instance(10, 4, 6, 0.1, seed=77)
+    other = draw_instance(11 if bad == "x" else 10, 5 if bad == "d" else 4, 6, 0.1, seed=77)
+    config = SolverConfig(rho=0.1, max_iterations=5, record_trace=record_trace)
+    before = inst.ensemble.operator_passes
+    with pytest.raises(DimensionError, match=f"truth.{bad}"):
+        solve(inst.ensemble, inst.y, config, truth=other.truth)
+    assert inst.ensemble.operator_passes == before
 
 
 def test_trace_thins_after_dense_limit():
@@ -583,10 +595,11 @@ def test_lazy_line_search_carries_a_fresh_evaluation(monkeypatch):
 @pytest.mark.parametrize("lazy", [False, True], ids=["cached", "lazy"])
 @pytest.mark.parametrize("mode", [LINE_SEARCH, FIXED])
 def test_solve_is_a_loop_of_iterate(monkeypatch, lazy, mode):
+    monkeypatch.setattr("blindcal.solver.TRACE_CHUNK", 7)  # 41 records: 5 full chunks and 6
     inst = trajectory_instance(monkeypatch, lazy)
     config = SolverConfig(step_mode=mode, mu=2e-3, rho=0.3,
                           objective_tolerance=1e-30, max_iterations=40)
-    result = solve(inst.ensemble, inst.y, config)
+    result = solve(inst.ensemble, inst.y, config, truth=inst.truth)
     # the same descent by hand, through the public step
     before = inst.ensemble.operator_passes
     xi, gamma = initialise(inst.ensemble, inst.y)
@@ -603,6 +616,8 @@ def test_solve_is_a_loop_of_iterate(monkeypatch, lazy, mode):
     assert result.trace.objective == [s.objective for s in states]
     assert result.trace.mu_xi == [s.mu_xi for s in states]
     assert result.trace.mu_gamma == [s.mu_gamma for s in states]
+    assert result.trace.delta == [delta((s.xi, s.gamma), inst.truth) for s in states]
+    assert result.trace.delta_F == [delta_F((s.xi, s.gamma), inst.truth) for s in states]
     assert result.operator_passes == inst.ensemble.operator_passes - before == 40 + 2
 
 
