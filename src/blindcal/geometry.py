@@ -44,14 +44,17 @@ def project_C_rho(gamma, rho: float) -> np.ndarray:
     and e = z - mean(z), the projection onto the zero-sum hyperplane; that
     case is returned directly. Otherwise s(lam) = sum_i e_i(lam) is piecewise
     linear and non-increasing, equal to rho*m left of every breakpoint
-    {z_i - rho, z_i + rho}. One sort of the 2m breakpoints, tagged -1 (a
-    coordinate leaves its upper bound) and +1 (it reaches its lower bound),
-    gives s everywhere: the slope right of each breakpoint is the running
-    sum of the tags and s at the breakpoints is rho*m plus the running sum
-    of slope times gap. lam is then one linear step inside the segment where
-    s crosses zero (Kiwiel, Math. Programming 2008). If the clipped sum
-    leaves a residual above 1e-12 * m (inputs of extreme magnitude), a
-    bisection on the directly evaluated clipped sum replaces lam.
+    {z_i - rho, z_i + rho}. One sort of z gives the sorted breakpoints
+    z - rho (tag -1: a coordinate leaves its upper bound) and z + rho (tag
+    +1: it reaches its lower bound). A scalar walk over both lists in merged
+    order carries the slope right of each breakpoint (the running sum of the
+    tags) and s there (rho*m plus the running sum of slope times gap); lam is
+    one linear step inside the segment where s first drops to zero or below
+    (Kiwiel, Math. Programming 2008). These are the operations, in order, of
+    a cumsum over all 2m breakpoints sorted together, and the same bits:
+    tied breakpoints add zero gaps, so their order changes no bit. If the
+    clipped sum leaves a residual above 1e-12 * m (inputs of extreme
+    magnitude), a bisection on the directly evaluated clipped sum replaces lam.
 
     Returns 1 + e, which satisfies both constraints to near machine accuracy.
     """
@@ -72,23 +75,25 @@ def _clip(z: np.ndarray, lam: float, rho: float) -> np.ndarray:
 
 def _breakpoint_projection(z: np.ndarray, rho: float) -> np.ndarray:
     """The e = clip(z - lam, -rho, rho) summing to zero, lam found by the
-    one-sort slope scan of ``project_C_rho``."""
+    merged slope scan of ``project_C_rho``."""
     m = z.size
-    points = np.concatenate((z - rho, z + rho))
-    order = points.argsort()
-    points = points[order]
-    slope = np.where(order < m, -1.0, 1.0).cumsum()  # right of each breakpoint
-    steps = np.empty(2 * m)
-    steps[0] = rho * m
-    np.subtract(points[1:], points[:-1], out=steps[1:])
-    steps[1:] *= slope[:-1]
-    sums = steps.cumsum()  # s at the breakpoints: non-increasing, sums[0] > 0
-    j = np.count_nonzero(sums > 0.0)  # first breakpoint with s <= 0
-    # s falls inside segment j - 1, so its slope there is negative
-    lam = points[-1] if j == 2 * m else points[j - 1] - sums[j - 1] / slope[j - 1]
+    zs = np.sort(z).tolist()
+    lower, upper = [v - rho for v in zs], [v + rho for v in zs]
+    s, slope, prev, i, k = rho * m, 0.0, lower[0], 0, 0
+    lam = upper[-1]  # if s stays positive up to the last breakpoint
+    while k < m:  # s and slope right of prev: s falls, slope <= 0
+        if i < m and lower[i] <= upper[k]:
+            point, tag, i = lower[i], -1.0, i + 1
+        else:
+            point, tag, k = upper[k], 1.0, k + 1
+        t = s + slope * (point - prev)
+        if t <= 0.0:  # s crosses zero in this segment, so its slope is negative
+            lam = prev - s / slope
+            break
+        s, slope, prev = t, slope + tag, point
     e = _clip(z, lam, rho)
     if abs(e.sum()) > 1e-12 * m:
-        lo, hi = points[0] - 1.0, points[-1] + 1.0
+        lo, hi = lower[0] - 1.0, upper[-1] + 1.0
         while lo < (mid := 0.5 * (lo + hi)) < hi:  # down to adjacent doubles
             if _clip(z, mid, rho).sum() > 0.0:
                 lo = mid

@@ -32,16 +32,19 @@ Allocation and floating-point state: a ``SolverState`` and its
 ``GradientPair`` are the descent's one state, which ``_advance``, the one
 step, updates in place. A solve builds that state from the start point's
 evaluation; it allocates four (p, m) work arrays (A g, A xi, the residual
-and an image scratch) and enters ``np.errstate(over="ignore",
-invalid="ignore")`` once each, around its loop and the trace records taken
-in it. ``iterate`` advances a copy of its argument with fresh work arrays in
-its own errstate. An iteration creates no state object and allocates
-vectors of length n or m only: the new iterate, the projection's
-temporaries, A^T (gamma * r) and the gradients. Overflow, and the inf - inf
-it leads to, is the divergence signal: a non-finite iterate or objective
-raises DivergenceError. As a step writes only new iterate arrays, a trace
+and an image scratch) and zero vectors of length n and m, and enters
+``np.errstate(over="ignore", invalid="ignore")`` once each, around its loop
+and the trace records taken in it. ``iterate`` advances a copy of its
+argument with fresh work arrays in its own errstate. An iteration creates no
+state object and allocates vectors of length n or m only: the new iterate,
+the projection's temporaries, A^T (gamma * r) and the gradients. Overflow,
+and the inf - inf it leads to, is the divergence signal: a non-finite
+iterate or objective raises DivergenceError. An iterate is checked by one
+dot product with the zero vector of its length, nan exactly when an entry
+is not finite. As a step writes only new iterate arrays, a trace
 with ground truth keeps each recorded iterate and fills in the distances of
-TRACE_CHUNK records at once; all are filled when ``solve`` returns.
+TRACE_CHUNK records, or of fewer once they hold TRACE_CHUNK_CELLS values, at
+once; all are filled when ``solve`` returns.
 """
 
 from __future__ import annotations
@@ -70,8 +73,10 @@ STAGNATED = "stagnated"
 
 # Trace thinning: record every iteration up to this count, then every 10th.
 TRACE_DENSE_LIMIT = 10_000
-# Trace distances are computed for this many records at a time.
+# Trace distances are computed for this many records at a time, or sooner
+# once the pending iterates hold this many cells (n + m per record).
 TRACE_CHUNK = 256
+TRACE_CHUNK_CELLS = 1 << 16
 
 # Stagnation: stop when f fell by less than STAGNATION_RTOL (relative) over
 # the last STAGNATION_WINDOW iterations.
@@ -120,8 +125,9 @@ class SolverState:
 @dataclass
 class SolverTrace:
     """Per-iteration history; delta columns stay None without ground truth. With
-    it they are filled TRACE_CHUNK records at a time, and complete when ``solve``
-    returns; only those fills add distance work to ``elapsed_seconds``."""
+    it they are filled TRACE_CHUNK records (at most TRACE_CHUNK_CELLS pending
+    cells) at a time, and complete when ``solve`` returns; only those fills add
+    distance work to ``elapsed_seconds``."""
 
     iteration: list[int] = field(default_factory=list)
     objective: list[float] = field(default_factory=list)
@@ -144,7 +150,8 @@ class SolverTrace:
         self.elapsed_seconds.append(elapsed)
         if truth is not None:
             self._pending.append((state.xi, state.gamma))
-            if len(self._pending) == TRACE_CHUNK:
+            cells = len(self._pending) * (state.xi.size + state.gamma.size)
+            if len(self._pending) == TRACE_CHUNK or cells >= TRACE_CHUNK_CELLS:
                 self.fill_distances(truth)
 
     def fill_distances(self, truth: GroundTruth | None):
@@ -198,8 +205,8 @@ def exact_line_search(state: SolverState, ensemble, y) -> tuple[float, float]:
     return _step(g, state.gamma * forward(ensemble, g), mp), _step(h, grads.ax * h, mp)
 
 
-def _finite(v: np.ndarray, iteration: int) -> np.ndarray:
-    if not np.logical_and.reduce(np.isfinite(v)):
+def _finite(v: np.ndarray, zeros: np.ndarray, iteration: int) -> np.ndarray:
+    if math.isnan(v @ zeros):  # 0 * +-inf and 0 * nan are nan, 0 * finite is +-0
         raise DivergenceError(f"iterate became non-finite at iteration {iteration}", iteration)
     return v
 
@@ -207,7 +214,8 @@ def _finite(v: np.ndarray, iteration: int) -> np.ndarray:
 def _advance(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps, work):
     """The one descent update of ``iterate`` and ``solve``: advance the state
     and its evaluation in place, writing A g, A xi, r and an image scratch to
-    the four (p, m) ``work`` arrays. Call it inside ``np.errstate(over="ignore",
+    the first four ``work`` arrays, (p, m); the last two are zero vectors of
+    length n and m. Call it inside ``np.errstate(over="ignore",
     invalid="ignore")`` (see the module docstring).
 
     Take the gain step from the carried A xi and project it; then one sweep
@@ -221,15 +229,15 @@ def _advance(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
     """
     grads, xi = state.evaluation, state.xi
     g, h = grads.grad_xi, grads.grad_gamma_projected
-    ag, ax, r, image = work
+    ag, ax, r, image, zeros_n, zeros_m = work
     p, mp, k = ensemble.p, ensemble.m * ensemble.p, state.iteration + 1
     line_search = config.step_mode == LINE_SEARCH
     if line_search:
         mu_gamma = _step(h, np.multiply(grads.ax, h, out=image), mp)
     else:
         mu_xi, mu_gamma = fixed_steps
-        xi_next = _finite(xi - mu_xi * g, k)
-    gamma = _finite(state.gamma - mu_gamma * h, k)
+        xi_next = _finite(xi - mu_xi * g, zeros_n, k)
+    gamma = _finite(state.gamma - mu_gamma * h, zeros_m, k)
     if config.apply_C_rho_projection:
         gamma = geometry.project_C_rho(gamma, config.rho)
     if line_search:
@@ -240,7 +248,7 @@ def _advance(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
                 bv += residual_block(rows, xi, gamma, y[sl], ax[sl], r[sl], image[sl])
                 bu += (gamma * gamma * ag[sl]).reshape(-1) @ rows
         mu_xi = _step(g, np.multiply(state.gamma, ag, out=image), mp)
-        xi_next = _finite(xi - mu_xi * g, k)
+        xi_next = _finite(xi - mu_xi * g, zeros_n, k)
         back = residual_block(rows, xi_next, gamma, y[sl], ax[sl], r[sl], image[sl])
         if sl.start:  # the earlier blocks
             ax[:sl.start] -= mu_xi * ag[:sl.start]
@@ -271,7 +279,8 @@ def iterate(state: SolverState, config: SolverConfig, ensemble, y,
             "solve() derives mu_gamma = mu * m / ||xi_0||^2")
     state = _evaluated(state, ensemble, y)
     state = replace(state, evaluation=replace(state.evaluation))
-    work = tuple(np.empty((ensemble.p, ensemble.m)) for _ in range(4))
+    work = (*(np.empty((ensemble.p, ensemble.m)) for _ in range(4)),
+            np.zeros(ensemble.n), np.zeros(ensemble.m))
     with np.errstate(over="ignore", invalid="ignore"):
         _advance(state, config, ensemble, y, fixed_steps, work)
     return state
@@ -320,7 +329,8 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
             raise ParameterError("zero initial signal estimate; cannot scale gain step")
         fixed_steps = (config.mu, config.mu * ensemble.m / norm0)
     state = SolverState(xi0, gamma0, 0, f0, evaluation=grads0)
-    work = tuple(np.empty((ensemble.p, ensemble.m)) for _ in range(4))
+    work = (*(np.empty((ensemble.p, ensemble.m)) for _ in range(4)),
+            np.zeros(ensemble.n), np.zeros(ensemble.m))
 
     trace = SolverTrace()
     if config.record_trace:

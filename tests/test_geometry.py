@@ -224,6 +224,57 @@ def test_slope_scan_matches_reference_scan(u, rho, shift, spread):
     np.testing.assert_allclose(e, reference_breakpoint_projection(z, rho), rtol=0, atol=1e-12)
 
 
+def reference_slope_scan(z, rho):
+    """The one-sort slope scan the merged scalar scan replaced: an argsort of
+    the 2m breakpoints tagged by side, the slopes and s at every breakpoint
+    by cumsum, and the same residual check and bisection fallback."""
+    m = z.size
+    points = np.concatenate((z - rho, z + rho))
+    order = points.argsort()
+    points = points[order]
+    slope = np.where(order < m, -1.0, 1.0).cumsum()  # right of each breakpoint
+    steps = np.empty(2 * m)
+    steps[0] = rho * m
+    np.subtract(points[1:], points[:-1], out=steps[1:])
+    steps[1:] *= slope[:-1]
+    sums = steps.cumsum()  # s at the breakpoints: non-increasing, sums[0] > 0
+    j = np.count_nonzero(sums > 0.0)  # first breakpoint with s <= 0
+    lam = points[-1] if j == 2 * m else points[j - 1] - sums[j - 1] / slope[j - 1]
+    e = np.minimum(np.maximum(z - lam, -rho), rho)
+    if abs(e.sum()) > 1e-12 * m:
+        lo, hi = points[0] - 1.0, points[-1] + 1.0
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if np.minimum(np.maximum(z - mid, -rho), rho).sum() > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        e = np.minimum(np.maximum(z - hi, -rho), rho)
+    return e
+
+
+@st.composite
+def clipped_inputs(draw):
+    """(z, rho) with 1 to 256 entries spread 0.5 to 100 rho, some entries
+    repeated and some placed 2 rho from another, so that a lower breakpoint
+    z_i - rho and an upper one z_j + rho tie, often only after rounding."""
+    u = draw(arrays(np.float64, st.integers(min_value=1, max_value=232), elements=unit_entries))
+    rho = draw(st.floats(min_value=1e-3, max_value=0.99))
+    z = draw(st.floats(min_value=-5.0, max_value=5.0)) + draw(
+        st.floats(min_value=0.5, max_value=100.0)) * rho * u
+    picks = st.lists(st.integers(min_value=0, max_value=z.size - 1), max_size=8)
+    repeats, below, above = draw(picks), draw(picks), draw(picks)
+    z = np.concatenate((z, z[repeats], z[below] - rho - rho, z[above] + rho + rho))
+    return draw(st.permutations(z.tolist())), rho
+
+
+@given(clipped_inputs())
+def test_merged_scan_gives_the_argsort_scan_bits(inputs):
+    z, rho = np.array(inputs[0]), inputs[1]
+    e, ref = _breakpoint_projection(z, rho), reference_slope_scan(z, rho)
+    np.testing.assert_array_equal(e, ref)
+    np.testing.assert_array_equal(np.signbit(e), np.signbit(ref))
+
+
 @given(arrays(np.float64, st.integers(min_value=2, max_value=20), elements=unit_entries),
        st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=3),
        st.integers(min_value=50, max_value=150), st.floats(min_value=1e-3, max_value=0.99))

@@ -1,10 +1,15 @@
 import copy
 import time
+import tracemalloc
 import warnings
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis.extra.numpy import arrays
 
+from blindcal import solver
 from blindcal.errors import DimensionError, DivergenceError, ParameterError, TheoryRangeWarning
 from blindcal.experiments import draw_instance, recovery_error
 from blindcal.geometry import delta, delta_F, draw_gain_perturbation, project_C_rho
@@ -235,6 +240,26 @@ def test_solve_checks_truth_before_the_operator(record_trace, bad):
     with pytest.raises(DimensionError, match=f"truth.{bad}"):
         solve(inst.ensemble, inst.y, config, truth=other.truth)
     assert inst.ensemble.operator_passes == before
+
+
+def test_traced_solve_with_truth_holds_few_large_iterates(monkeypatch):
+    # a record of this instance holds n + m = 20016 values, so the pending
+    # iterates are filled every TRACE_CHUNK_CELLS cells (4 records), not
+    # every TRACE_CHUNK records, which would hold 48 MiB
+    inst = draw_instance(20000, 16, 2, 0.3, seed=3)
+    config = SolverConfig(rho=0.3, objective_tolerance=1e-30, max_iterations=300)
+    tracemalloc.start()
+    try:
+        lean = solve(inst.ensemble, inst.y, config, truth=inst.truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert len(lean.trace.delta) == len(lean.trace.iteration) > 4 and None not in lean.trace.delta
+    # filling fewer records at once changes no distance bit
+    monkeypatch.setattr("blindcal.solver.TRACE_CHUNK_CELLS", 1 << 62)
+    chunked = solve(inst.ensemble, inst.y, config, truth=inst.truth)
+    assert (lean.trace.delta, lean.trace.delta_F) == (chunked.trace.delta, chunked.trace.delta_F)
 
 
 def test_trace_thins_after_dense_limit():
@@ -664,6 +689,19 @@ def test_divergent_iterate_raises_without_warning():
             for _ in range(50):
                 state = iterate(state, config, ensemble, y, fixed)
     assert err.value.iteration == in_solve.value.iteration > 1
+
+
+@given(arrays(np.float64, st.integers(min_value=1, max_value=40),
+              elements=st.sampled_from([np.inf, -np.inf, np.nan, 1.7e308, -1.7e308,
+                                        5e-324, -5e-324, 0.0, 1.0])))
+def test_finite_raises_exactly_on_a_non_finite_entry(v):
+    with np.errstate(over="ignore", invalid="ignore"):  # as around every step
+        if np.isfinite(v).all():
+            assert solver._finite(v, np.zeros(v.size), 7) is v
+        else:
+            with pytest.raises(DivergenceError) as err:
+                solver._finite(v, np.zeros(v.size), 7)
+            assert err.value.iteration == 7
 
 
 def test_solve_times_its_stages():
