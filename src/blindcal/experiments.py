@@ -123,7 +123,7 @@ class PhaseGridSpec:
     trials_per_cell: int = 10
     zeta_db: float = -70.0
     base_seed: int = 0
-    tolerance: float = SolverConfig.objective_tolerance
+    tolerance: float | None = SolverConfig.objective_tolerance
     max_iterations: int = 3000
 
     def __post_init__(self):
@@ -449,7 +449,7 @@ class RateComparisonSpec:
     p: int = 64
     rho: float = 0.5
     seed: int = 0
-    tolerance: float = SolverConfig.objective_tolerance
+    tolerance: float | None = SolverConfig.objective_tolerance
     mu: float = 1e-4
     max_iterations: int = 400_000
 

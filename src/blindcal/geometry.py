@@ -12,6 +12,7 @@ are equivalent on C_rho up to factors (1 - rho) and (1 + 2 rho).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,18 +43,26 @@ def project_C_rho(gamma, rho: float) -> np.ndarray:
     e_i = clip(z_i - lam, -rho, rho) with the multiplier lam chosen so the
     coordinates sum to zero. When no box constraint is active, lam = mean(z)
     and e = z - mean(z), the projection onto the zero-sum hyperplane; that
-    case is returned directly. Otherwise s(lam) = sum_i e_i(lam) is piecewise
-    linear and non-increasing, equal to rho*m left of every breakpoint
-    {z_i - rho, z_i + rho}. One sort of z gives the sorted breakpoints
-    z - rho (tag -1: a coordinate leaves its upper bound) and z + rho (tag
-    +1: it reaches its lower bound). A scalar walk over both lists in merged
-    order carries the slope right of each breakpoint (the running sum of the
-    tags) and s there (rho*m plus the running sum of slope times gap); lam is
-    one linear step inside the segment where s first drops to zero or below
-    (Kiwiel, Math. Programming 2008). These are the operations, in order, of
-    a cumsum over all 2m breakpoints sorted together, and the same bits:
-    tied breakpoints add zero gaps, so their order changes no bit. If the
-    clipped sum leaves a residual above 1e-12 * m (inputs of extreme
+    case is returned directly. It is decided from the two extremes of the
+    sorted entries, max(z) - mean <= rho and mean - min(z) <= rho, which is
+    max|z - mean| <= rho bit for bit: rounded subtraction is monotone, so
+    the largest z_i - mean is max(z) - mean, and fl(a - b) = -fl(b - a), so
+    the most negative one is -(mean - min(z)). A nan entry sorts last and
+    makes the mean nan, and an infinite one makes a difference nan or +inf,
+    so either takes the clipped path, as an abs test would.
+
+    Otherwise s(lam) = sum_i e_i(lam) is piecewise linear and non-increasing,
+    equal to rho*m left of every breakpoint {z_i - rho, z_i + rho}. The same
+    sort of z gives the sorted breakpoints z - rho (tag -1: a coordinate
+    leaves its upper bound) and z + rho (tag +1: it reaches its lower bound).
+    A scalar walk over both in merged order, forming each breakpoint as it
+    reaches it, carries the slope right of each breakpoint (the running sum
+    of the tags) and s there (rho*m plus the running sum of slope times gap);
+    lam is one linear step inside the segment where s first drops to zero or
+    below (Kiwiel, Math. Programming 2008). These are the operations, in
+    order, of a cumsum over all 2m breakpoints sorted together, and the same
+    bits: tied breakpoints add zero gaps, so their order changes no bit. If
+    the clipped sum leaves a residual above 1e-12 * m (inputs of extreme
     magnitude), a bisection on the directly evaluated clipped sum replaces lam.
 
     Returns 1 + e, which satisfies both constraints to near machine accuracy.
@@ -63,39 +72,55 @@ def project_C_rho(gamma, rho: float) -> np.ndarray:
     if rho == 0.0:
         return np.ones(gamma.size)
     z = gamma - 1.0
-    e = z - np.add.reduce(z) / z.size
-    if np.maximum.reduce(abs(e)) <= rho:
-        return 1.0 + e
-    return 1.0 + _breakpoint_projection(z, rho)
+    zs = _sorted(z)
+    mean = float(np.add.reduce(z)) / z.size
+    if zs[-1] - mean <= rho and mean - zs[0] <= rho:
+        return 1.0 + (z - mean)
+    return 1.0 + _breakpoint_projection(z, rho, zs)
+
+
+def _sorted(z: np.ndarray) -> list:
+    zs = z.copy()
+    zs.sort()  # nan last, as np.sort
+    return zs.tolist()
 
 
 def _clip(z: np.ndarray, lam: float, rho: float) -> np.ndarray:
-    return np.minimum(np.maximum(z - lam, -rho), rho)
+    e = z - lam
+    np.maximum(e, -rho, out=e)
+    return np.minimum(e, rho, out=e)
 
 
-def _breakpoint_projection(z: np.ndarray, rho: float) -> np.ndarray:
+def _breakpoint_projection(z: np.ndarray, rho: float, zs: list | None = None) -> np.ndarray:
     """The e = clip(z - lam, -rho, rho) summing to zero, lam found by the
-    merged slope scan of ``project_C_rho``."""
+    merged slope scan of ``project_C_rho``. zs, the entries of z sorted into
+    a list, is sorted here if not given; the scan extends it by one sentinel."""
+    if zs is None:
+        zs = _sorted(z)
     m = z.size
-    zs = np.sort(z).tolist()
-    lower, upper = [v - rho for v in zs], [v + rho for v in zs]
-    s, slope, prev, i, k = rho * m, 0.0, lower[0], 0, 0
-    lam = upper[-1]  # if s stays positive up to the last breakpoint
+    # a sentinel whose lower breakpoint is nan, never <= an upper one (+inf
+    # would tie with the upper breakpoint of an infinite entry)
+    zs.append(math.nan)
+    lower, upper = zs[0] - rho, zs[0] + rho  # the next breakpoint of each side
+    s, slope, prev, i, k = rho * m, 0.0, lower, 0, 0
+    lam = zs[m - 1] + rho  # if s stays positive up to the last breakpoint
     while k < m:  # s and slope right of prev: s falls, slope <= 0
-        if i < m and lower[i] <= upper[k]:
-            point, tag, i = lower[i], -1.0, i + 1
+        if lower <= upper:
+            point, tag, i = lower, -1.0, i + 1
+            lower = zs[i] - rho
         else:
-            point, tag, k = upper[k], 1.0, k + 1
+            point, tag, k = upper, 1.0, k + 1
+            upper = zs[k] + rho
         t = s + slope * (point - prev)
         if t <= 0.0:  # s crosses zero in this segment, so its slope is negative
             lam = prev - s / slope
             break
         s, slope, prev = t, slope + tag, point
     e = _clip(z, lam, rho)
-    if abs(e.sum()) > 1e-12 * m:
-        lo, hi = lower[0] - 1.0, upper[-1] + 1.0
+    if abs(np.add.reduce(e)) > 1e-12 * m:
+        lo, hi = (zs[0] - rho) - 1.0, (zs[m - 1] + rho) + 1.0
         while lo < (mid := 0.5 * (lo + hi)) < hi:  # down to adjacent doubles
-            if _clip(z, mid, rho).sum() > 0.0:
+            if np.add.reduce(_clip(z, mid, rho)) > 0.0:
                 lo = mid
             else:
                 hi = mid

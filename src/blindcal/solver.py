@@ -13,6 +13,12 @@ last STAGNATION_WINDOW iterations (stagnated), else the step is taken and
 the solve has converged if the objective stepped from was below the
 tolerance.
 
+The tolerance is ``objective_tolerance`` if given, else the scale-free
+``RELATIVE_TOLERANCE * ||y||^2 / (2mp)`` (f at a zero signal), computed once
+per solve; all-zero data (f0 = 0) has converged at the start under either.
+An underdetermined instance (m*p < n + m - 1) can still fit the data and
+stop as converged without recovering x and d.
+
 Note on the line searches: each step is the exact minimiser of the 1-d
 quadratic along the descent direction, computed in closed form from the
 residuals. Because the directions are the gradient blocks themselves, the
@@ -83,13 +89,17 @@ TRACE_CHUNK_CELLS = 1 << 16
 STAGNATION_WINDOW = 100
 STAGNATION_RTOL = 1e-14
 
+# Default convergence bound, relative to f at a zero signal, ||y||^2 / (2mp),
+# when a config gives no absolute objective_tolerance.
+RELATIVE_TOLERANCE = 1e-12
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     step_mode: str = LINE_SEARCH
     mu: float | None = None  # signal step for fixed mode
     rho: float = 0.0
-    objective_tolerance: float = 1e-7
+    objective_tolerance: float | None = None  # absolute bound on f; None: relative
     max_iterations: int = 100_000
     apply_C_rho_projection: bool = True
     record_trace: bool = True
@@ -100,7 +110,8 @@ class SolverConfig:
         if self.step_mode == FIXED:
             check_positive(self.mu, "mu (fixed step mode)")
         check_rho(self.rho)
-        check_positive(self.objective_tolerance, "objective_tolerance")
+        if self.objective_tolerance is not None:
+            check_positive(self.objective_tolerance, "objective_tolerance")
         check_count(self.max_iterations, "max_iterations")
 
 
@@ -321,6 +332,9 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
     grads0 = gradients(ensemble, y, (xi0, gamma0))
     t_start = time.perf_counter()
     f0 = grads0.objective
+    tolerance = config.objective_tolerance
+    if tolerance is None:  # relative to f at a zero signal
+        tolerance = RELATIVE_TOLERANCE * float(np.vdot(y, y)) / (2.0 * ensemble.m * ensemble.p)
 
     fixed_steps = None
     if config.step_mode == FIXED:
@@ -337,7 +351,7 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
         trace.record(state, time.perf_counter() - t0, truth)
 
     recent = deque([f0], maxlen=STAGNATION_WINDOW + 1)
-    stop = CONVERGED if f0 < config.objective_tolerance else None
+    stop = CONVERGED if f0 < tolerance or f0 == 0.0 else None
     with np.errstate(over="ignore", invalid="ignore"):  # see _advance
         while stop is None:
             if state.iteration >= config.max_iterations:
@@ -352,7 +366,7 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
                 if config.record_trace and (state.iteration <= TRACE_DENSE_LIMIT
                                             or state.iteration % 10 == 0):
                     trace.record(state, time.perf_counter() - t0, truth)
-                if previous_objective < config.objective_tolerance:
+                if previous_objective < tolerance:
                     stop = CONVERGED
 
     if config.record_trace and trace.iteration[-1] != state.iteration:

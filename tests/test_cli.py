@@ -214,13 +214,13 @@ def test_phase_transition_prints_outcome_counts(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(experiments, "solve", diverge_at_p16)
     code = run(["phase-transition", "--n", "12", "--m", "6", "--p-values", "2,4,16",
                 "--rho-values", "0.01", "--trials", "2", "--max-iterations", "300",
-                "--out", str(tmp_path)])
+                "--tol", "1e-7", "--out", str(tmp_path)])
     assert code == 0
     summary = capsys.readouterr().out.splitlines()[-1]
     # recounted from the trials the same grid gives in the library
     trials = experiments.run_phase_transition(PhaseGridSpec(
         n=12, m=6, p_values=(2, 4, 16), rho_values=(0.01,), trials_per_cell=2,
-        max_iterations=300)).trials
+        tolerance=1e-7, max_iterations=300)).trials
     failed = sum(t.stop_reason == "converged" and not t.success for t in trials)
     under = sum(6 * t.p < 12 + 6 - 1 for t in trials)
     diverged = sum(t.stop_reason.startswith("error:") for t in trials)

@@ -58,6 +58,19 @@ def test_easy_cell_succeeds():
     assert result.success_probability[0, 0] == 1.0
 
 
+def test_default_stop_rule_recovers_every_identifiable_desk_trial():
+    # the criterion-6 grid from p = 8, half its trials, under the relative
+    # stop rule: an absolute 1e-7 stops many of these trials as converged
+    # before they recover
+    spec = PhaseGridSpec(n=64, m=16, p_values=(8, 16, 32, 64, 128, 256),
+                         rho_values=(1e-3, 1e-2, 1e-1, 0.3, 0.6, 0.99),
+                         trials_per_cell=5, zeta_db=-70.0, base_seed=606)
+    assert spec.tolerance is None
+    result = run_phase_transition(spec)
+    assert result.success_probability.min() == 1.0
+    assert all(t.stop_reason == "converged" for t in result.trials)
+
+
 def test_grid_deterministic():
     spec = PhaseGridSpec(n=12, m=6, p_values=(2, 16), rho_values=(0.01, 0.5),
                          trials_per_cell=3, base_seed=7, max_iterations=500)

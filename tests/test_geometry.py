@@ -275,6 +275,95 @@ def test_merged_scan_gives_the_argsort_scan_bits(inputs):
     np.testing.assert_array_equal(np.signbit(e), np.signbit(ref))
 
 
+def reference_project_C_rho(gamma, rho):
+    """The projection as it was before its in-box decision read the extremes:
+    it builds z - mean, takes abs and reduces with maximum; a clipped input
+    takes the argsort scan, whose bits the merged scan keeps."""
+    gamma = np.asarray(gamma, dtype=float)
+    if rho == 0.0:
+        return np.ones(gamma.size)
+    z = gamma - 1.0
+    e = z - np.add.reduce(z) / z.size
+    if np.maximum.reduce(abs(e)) <= rho:
+        return 1.0 + e
+    return 1.0 + reference_slope_scan(z, rho)
+
+
+@st.composite
+def projection_inputs(draw):
+    """(gamma, rho) with 2 to 300 entries and rho from 1e-3 to 0.99, with
+    repeated entries. Half the draws lie on a grid of 2^-10 where the mean is
+    exact: pairs +-q around a centre, some at +-rho, so z_i - mean = +-rho
+    exactly, and at times one entry a grid step outside; gains of +-0.0 come
+    from the centre that puts them there.
+    The other half draws seeded uniform entries, whose sums round, spread
+    0.1 to 0.5 rho (in the box) or 0.5 to 100 rho, with entries moved to the
+    computed mean +- rho; an in-box draw then takes as rho its largest
+    |z_i - mean|, so that one extreme sits exactly at the edge."""
+    m = draw(st.integers(min_value=2, max_value=300))
+    in_box = False
+    if draw(st.booleans()):
+        r = draw(st.integers(min_value=2, max_value=1013))
+        rho = r / 1024
+        q = draw(st.lists(st.integers(min_value=-r, max_value=r),
+                          min_size=m // 2, max_size=m // 2))
+        edges = draw(st.integers(min_value=0, max_value=m // 2))
+        q = [r] * edges + q[edges:]
+        q = np.array(q + [-v for v in q] + [0] * (m % 2), dtype=float)
+        q[0] += draw(st.sampled_from([0, 0, 1, -1]))
+        centre = draw(st.one_of(st.just(-1024), st.integers(min_value=-1000, max_value=1000)))
+        gamma = 1.0 + (centre + q) / 1024  # at centre -1024, q = 0 gives gamma = 0
+        if draw(st.booleans()):
+            gamma[gamma == 0.0] = -0.0
+    else:
+        rho = draw(st.floats(min_value=1e-3, max_value=0.99))
+        u = np.random.default_rng(draw(st.integers(min_value=0))).uniform(-1.0, 1.0, m)
+        spread = draw(st.one_of(st.floats(min_value=0.1, max_value=0.5),
+                                st.floats(min_value=0.5, max_value=100.0)))
+        in_box = spread <= 0.5
+        z = draw(st.floats(min_value=-5.0, max_value=5.0)) + spread * rho * u
+        picks = st.lists(st.integers(min_value=0, max_value=m - 1), max_size=8)
+        z[draw(picks)] = z[draw(st.integers(min_value=0, max_value=m - 1))]
+        above, below = draw(picks), draw(picks)
+        for _ in range(3):  # the mean moves as entries move; it settles in a few rounds
+            mean = np.add.reduce(z) / m
+            z[above], z[below] = mean + rho, mean - rho
+        gamma = 1.0 + z
+    gamma = np.array(draw(st.permutations(gamma.tolist())))
+    if in_box:
+        z = gamma - 1.0
+        mean = np.add.reduce(z) / m
+        rho = float(max(np.maximum.reduce(z) - mean, mean - np.minimum.reduce(z)))
+    return gamma, rho
+
+
+@given(projection_inputs())
+def test_projection_keeps_the_bits_of_the_abs_in_box_test(inputs):
+    gamma, rho = inputs
+    out, ref = project_C_rho(gamma, rho), reference_project_C_rho(gamma, rho)
+    np.testing.assert_array_equal(out, ref)
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
+
+
+@pytest.mark.parametrize("gamma, expected", [
+    ([1.2, np.inf, 0.9, 1.0], [1.0666666666666667, 1.3, 0.7666666666666666, 0.8666666666666667]),
+    ([1.2, -np.inf, 0.9, 1.0], [0.7, 0.7, 0.7, 0.7]),
+    ([1.2, np.nan, 0.9, 1.0], [1.0666666666666667, np.nan, 0.7666666666666666,
+                               0.8666666666666667]),
+    ([1.2, np.inf, np.inf], [0.7, np.nan, np.nan]),
+    ([1.2, -np.inf, -np.inf], [0.7, 0.7, 0.7]),
+    ([1.2, np.nan, np.nan], [np.nan, np.nan, np.nan]),
+])
+def test_non_finite_entries_give_the_pinned_output(gamma, expected):
+    # a nan or infinite entry fails the in-box test; with two +inf entries
+    # against one finite, s stays positive and the scan walks past their
+    # infinite breakpoints. The values are those of the abs in-box test with
+    # the merged scan (the argsort scan differs on these inputs)
+    with np.errstate(invalid="ignore"):
+        out = project_C_rho(np.array(gamma), 0.3)
+    np.testing.assert_array_equal(out, expected)
+
+
 @given(arrays(np.float64, st.integers(min_value=2, max_value=20), elements=unit_entries),
        st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=3),
        st.integers(min_value=50, max_value=150), st.floats(min_value=1e-3, max_value=0.99))

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from blindcal import solver
 from blindcal.errors import DimensionError, DivergenceError, ParameterError, TheoryRangeWarning
-from blindcal.experiments import draw_instance, recovery_error
+from blindcal.experiments import draw_instance, recovery_error, to_db
 from blindcal.geometry import delta, delta_F, draw_gain_perturbation, project_C_rho
 from blindcal.model import GroundTruth, SensingEnsemble, generate_ensemble, sense
 from blindcal.objective import forward, gradients, objective_value
@@ -228,6 +228,44 @@ def test_stagnation_guard():
     result = solve(ensemble, y, config)
     assert result.stop_reason == "stagnated"
     assert result.objective < 1e-25
+
+
+def test_default_stop_rule_is_scale_free():
+    # the signal scaled from 1e-4 to 1e4: the relative tolerance scales with
+    # ||y||^2, so the solve takes the same steps and reaches the same error
+    inst = draw_instance(64, 16, 64, 0.3, seed=5)
+    config = SolverConfig(rho=0.3, record_trace=False)
+    assert config.objective_tolerance is None
+    runs = []
+    for scale in 10.0 ** np.arange(-4, 5):
+        truth = GroundTruth(x=scale * inst.truth.x, d=inst.truth.d, rho=0.3)
+        result = solve(inst.ensemble, scale * inst.y, config)
+        assert result.stop_reason == CONVERGED
+        runs.append((result.iterations,
+                     to_db(recovery_error(result.x_hat, result.d_hat, truth))))
+    iterations, errors = zip(*runs)
+    assert max(iterations) - min(iterations) <= 1
+    assert max(errors) - min(errors) <= 1.0
+    assert max(errors) < -100.0
+
+
+def test_relative_tolerance_bounds_f_by_the_data_energy():
+    inst = draw_instance(16, 8, 2, 0.3, seed=6)
+    threshold = solver.RELATIVE_TOLERANCE * float(np.sum(inst.y ** 2)) / (2 * 8 * 2)
+    result = solve(inst.ensemble, inst.y, SolverConfig(rho=0.3))
+    # the stop takes one step more after f first falls below the threshold
+    assert result.stop_reason == CONVERGED
+    assert result.trace.objective[-2] < threshold <= result.trace.objective[-3]
+
+
+@pytest.mark.parametrize("tolerance", [None, 1e-7])
+def test_zero_data_converges_at_the_start(tolerance):
+    # zero data makes both f0 and the relative bound 0; f0 = 0 has converged
+    ensemble = generate_ensemble(8, 4, 8, "gaussian", 1)
+    result = solve(ensemble, np.zeros((8, 4)),
+                   SolverConfig(rho=0.1, objective_tolerance=tolerance))
+    assert result.stop_reason == CONVERGED
+    assert result.iterations == 0 and result.objective == 0.0
 
 
 @pytest.mark.parametrize("record_trace", [True, False])
