@@ -20,7 +20,7 @@ from . import fileio
 from .errors import (BlindcalError, DimensionError, ParameterError, SingularityError,
                      check_array, check_count, check_positive, check_rho, check_size)
 from .geometry import draw_gain_perturbation
-from .model import GroundTruth, SensingEnsemble, generate_ensemble, sense
+from .model import GroundTruth, SensingEnsemble, sense
 from .objective import adjoint, gradients
 from .seeding import derive_seed
 from .solver import CONVERGED, FIXED, SolveResult, SolverConfig, initialise, solve
@@ -97,8 +97,8 @@ def build_instance(x, d, rho: float, p: int, seed: int,
     """The instance sensing (x, d) through p snapshots of an ensemble drawn
     from ``derive_seed(seed, [("ensemble", 0)])``."""
     truth = GroundTruth(x=x, d=d, rho=rho)
-    ensemble = generate_ensemble(truth.n, truth.m, p, distribution,
-                                 derive_seed(seed, [("ensemble", 0)]))
+    ensemble = SensingEnsemble(truth.n, truth.m, p, distribution,
+                               derive_seed(seed, [("ensemble", 0)]))
     return Instance(truth=truth, ensemble=ensemble, y=sense(ensemble, truth.x, truth.d))
 
 
@@ -245,8 +245,6 @@ def least_squares_baseline(ensemble, y) -> np.ndarray:
     best = np.sqrt(rr) / b_norm
     stalled = 0
     for _ in range(max_iterations):
-        if np.sqrt(rr) / b_norm <= rtol:
-            return x
         gd = apply(d)
         dgd = float(d @ gd)
         if dgd <= 0.0:
@@ -256,6 +254,8 @@ def least_squares_baseline(ensemble, y) -> np.ndarray:
         r = r - alpha * gd
         rr_new = float(r @ r)
         rel = np.sqrt(rr_new) / b_norm
+        if rel <= rtol:
+            return x
         if rel < best * 0.999999:
             best = rel
             stalled = 0
@@ -266,8 +266,6 @@ def least_squares_baseline(ensemble, y) -> np.ndarray:
                     f"conjugate gradients stagnated at relative residual {rel:.3e}")
         d = r + (rr_new / rr) * d
         rr = rr_new
-    if np.sqrt(rr) / b_norm <= rtol:
-        return x
     raise SingularityError(
         f"conjugate gradients did not reach rtol={rtol:g} in {max_iterations} iterations")
 
@@ -307,7 +305,8 @@ class DemoReport:
 
 
 def run_imaging_demo(image_path, m: int, p: int | None, rho: float, seed: int = 0,
-                     tol: float = 1e-6, max_iterations: int = SolverConfig.max_iterations,
+                     tol: float | None = None,
+                     max_iterations: int = SolverConfig.max_iterations,
                      out_dir=None) -> DemoReport:
     """Blind calibration of an m-sensor array imaging a fixed picture.
 
@@ -315,10 +314,11 @@ def run_imaging_demo(image_path, m: int, p: int | None, rho: float, seed: int = 
     sensed through one ensemble, drawn once from ``seed`` by
     :func:`build_instance` (so every channel sees the same matrices), and one
     shared gain profile of maximum deviation rho; p = None takes mp = 2n
-    snapshots. Channels are solved independently; the baseline fixes the
-    gains to one and solves the resulting least-squares problem, fully
-    absorbing the model error. With out_dir set, the reconstruction, the
-    recovered gain map, and a JSON error report are written there.
+    snapshots, and tol = None stops on the solver's scale-free default rule.
+    Channels are solved independently; the baseline fixes the gains to one
+    and solves the resulting least-squares problem, fully absorbing the
+    model error. With out_dir set, the reconstruction, the recovered gain
+    map, and a JSON error report are written there.
     """
     m = check_size(m, "m")
     config = SolverConfig(rho=rho, objective_tolerance=tol, max_iterations=max_iterations,
@@ -332,7 +332,7 @@ def run_imaging_demo(image_path, m: int, p: int | None, rho: float, seed: int = 
 
     channels = []
     x_hat = np.empty_like(image)
-    d_first = None
+    stop = CONVERGED
     inst = build_instance(image[0].ravel(), d, rho, p, seed)
     for ci in range(c):
         if ci:  # later channels sense through the first channel's ensemble
@@ -346,19 +346,17 @@ def run_imaging_demo(image_path, m: int, p: int | None, rho: float, seed: int = 
             ls_error_db=to_db(_relative_error(x_ls, inst.truth.x_star)),
             iterations=result.iterations, stop_reason=result.stop_reason))
         x_hat[ci] = result.x_hat.reshape(h, w)
-        if d_first is None:
-            d_first = result.d_hat
+        if not ci:
+            d_hat = result.d_hat
+        if result.stop_reason != CONVERGED:
+            stop = result.stop_reason
 
     error_db = max(max(ch.signal_error_db, ch.gain_error_db) for ch in channels)
     ls_error_db = max(ch.ls_error_db for ch in channels)
-    stop = CONVERGED
-    for ch in channels:
-        if ch.stop_reason != CONVERGED:
-            stop = ch.stop_reason
     report = DemoReport(error_db=error_db, ls_error_db=ls_error_db,
                         iterations=max(ch.iterations for ch in channels),
                         stop_reason=stop, channels=channels, x_hat=x_hat,
-                        d_hat=d_first, truth_d=d)
+                        d_hat=d_hat, truth_d=d)
     if out_dir is not None:
         _write_demo_outputs(report, out_dir)
     return report
@@ -412,7 +410,7 @@ def check_concentration(n: int, m: int, p: int, distribution: str, theta,
     deviations = []
     for t in range(trials):
         # drawn lazily, so the first trial checks p, the distribution and the seed
-        ensemble = generate_ensemble(n, m, p, distribution, derive_seed(seed, [("trial", t)]))
+        ensemble = SensingEnsemble(n, m, p, distribution, derive_seed(seed, [("trial", t)]))
         if theta_inf == 0.0:
             deviations.append(0.0)
             continue

@@ -194,22 +194,6 @@ def write_image(path, image):
 # Solver traces and phase grids
 # ---------------------------------------------------------------------------
 
-_TRACE_COLUMNS = "iteration,f,mu_xi,mu_gamma,delta,delta_F,elapsed_seconds"
-# the SolverTrace list behind each column
-_TRACE_FIELDS = ("iteration", "objective", "mu_xi", "mu_gamma", "delta", "delta_F",
-                 "elapsed_seconds")
-
-
-def _cells(column) -> list[str]:
-    return ["" if v is None else repr(float(v)) for v in column]
-
-
-def write_trace_csv(path, trace: SolverTrace):
-    first, *rest = _TRACE_FIELDS
-    columns = [map(str, getattr(trace, first)), *(_cells(getattr(trace, f)) for f in rest)]
-    write_csv(path, _TRACE_COLUMNS, zip(*columns))
-
-
 def _csv_rows(path, columns: str, kinds: tuple, what: str) -> Iterator[list]:
     """The rows under the header ``columns``, each cell converted by its kind;
     an empty cell becomes None where the kind is ``_optional``."""
@@ -230,12 +214,27 @@ def _optional(text: str) -> float | None:
     return float(text) if text else None
 
 
+# The trace file, one row per column: its CSV header, the SolverTrace list
+# behind it, and its cell type; an _optional cell is empty for None.
+_TRACE_SCHEMA = (("iteration", "iteration", int), ("f", "objective", float),
+                 ("mu_xi", "mu_xi", float), ("mu_gamma", "mu_gamma", float),
+                 ("delta", "delta", _optional), ("delta_F", "delta_F", _optional),
+                 ("elapsed_seconds", "elapsed_seconds", float))
+_TRACE_HEADER = ",".join(header for header, _, _ in _TRACE_SCHEMA)
+
+
+def write_trace_csv(path, trace: SolverTrace):
+    columns = [["" if v is None else repr(int(v) if kind is int else float(v))
+                for v in getattr(trace, name)] for _, name, kind in _TRACE_SCHEMA]
+    write_csv(path, _TRACE_HEADER, zip(*columns))
+
+
 def read_trace_csv(path) -> SolverTrace:
     trace = SolverTrace()
-    kinds = (int, float, float, float, _optional, _optional, float)
-    for row in _csv_rows(path, _TRACE_COLUMNS, kinds, "trace"):
-        for column, value in zip(_TRACE_FIELDS, row):
-            getattr(trace, column).append(value)
+    kinds = tuple(kind for _, _, kind in _TRACE_SCHEMA)
+    for row in _csv_rows(path, _TRACE_HEADER, kinds, "trace"):
+        for (_, name, _), value in zip(_TRACE_SCHEMA, row):
+            getattr(trace, name).append(value)
     return trace
 
 

@@ -46,6 +46,8 @@ def as_point(point) -> tuple[np.ndarray, np.ndarray]:
 class SensingEnsemble:
     """p random m-by-n sensing matrices, generated lazily per snapshot.
 
+    Gaussian rows have standard normal entries; Rademacher rows have entries
+    +-1 with equal probability. Both are centred with identity covariance.
     Snapshot ``l`` is drawn from ``derive_seed(seed, [("snapshot", l)])``, so
     any single matrix can be regenerated independently and deterministically.
     Ensembles of at most ``CACHE_LIMIT_CELLS`` cells are cached stacked as a
@@ -129,14 +131,8 @@ class SensingEnsemble:
         return self._blocks
 
 
-def generate_ensemble(n: int, m: int, p: int, distribution: str = GAUSSIAN,
-                      seed: int = 0) -> SensingEnsemble:
-    """Create a seeded ensemble of p i.i.d. m-by-n sensing matrices.
-
-    Gaussian rows have standard normal entries; Rademacher rows have entries
-    +-1 with equal probability. Both are centred with identity covariance.
-    """
-    return SensingEnsemble(n=n, m=m, p=p, distribution=distribution, seed=seed)
+# The public name for making a seeded ensemble: the class itself.
+generate_ensemble = SensingEnsemble
 
 
 # ---------------------------------------------------------------------------

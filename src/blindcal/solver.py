@@ -35,22 +35,14 @@ either step mode. A zero direction still costs its pass; its step is 0
 because its image vanishes.
 
 Allocation and floating-point state: a ``SolverState`` and its
-``GradientPair`` are the descent's one state, which ``_advance``, the one
-step, updates in place. A solve builds that state from the start point's
-evaluation; it allocates four (p, m) work arrays (A g, A xi, the residual
-and an image scratch) and zero vectors of length n and m, and enters
-``np.errstate(over="ignore", invalid="ignore")`` once each, around its loop
-and the trace records taken in it. ``iterate`` advances a copy of its
-argument with fresh work arrays in its own errstate. An iteration creates no
-state object and allocates vectors of length n or m only: the new iterate,
-the projection's temporaries, A^T (gamma * r) and the gradients. Overflow,
-and the inf - inf it leads to, is the divergence signal: a non-finite
-iterate or objective raises DivergenceError. An iterate is checked by one
-dot product with the zero vector of its length, nan exactly when an entry
-is not finite. As a step writes only new iterate arrays, a trace
-with ground truth keeps each recorded iterate and fills in the distances of
-TRACE_CHUNK records, or of fewer once they hold TRACE_CHUNK_CELLS values, at
-once; all are filled when ``solve`` returns.
+``GradientPair`` are the descent's one state. A solve builds it from the
+start point's evaluation, allocates the work arrays of ``_advance`` once,
+and enters ``np.errstate(over="ignore", invalid="ignore")`` once, around its
+loop and the trace records taken in it. An iteration creates no state
+object and allocates vectors of length n or m only: the new iterate, the
+projection's temporaries, A^T (gamma * r) and the gradients. Overflow, and
+the inf - inf it leads to, is the divergence signal: a non-finite iterate
+or objective raises DivergenceError.
 """
 
 from __future__ import annotations
@@ -79,10 +71,9 @@ STAGNATED = "stagnated"
 
 # Trace thinning: record every iteration up to this count, then every 10th.
 TRACE_DENSE_LIMIT = 10_000
-# Trace distances are computed for this many records at a time, or sooner
-# once the pending iterates hold this many cells (n + m per record).
-TRACE_CHUNK = 256
-TRACE_CHUNK_CELLS = 1 << 16
+# Trace distances are computed once the pending iterates hold this many
+# cells (n + m per record).
+TRACE_CHUNK_CELLS = 1 << 14
 
 # Stagnation: stop when f fell by less than STAGNATION_RTOL (relative) over
 # the last STAGNATION_WINDOW iterations.
@@ -136,9 +127,10 @@ class SolverState:
 @dataclass
 class SolverTrace:
     """Per-iteration history; delta columns stay None without ground truth. With
-    it they are filled TRACE_CHUNK records (at most TRACE_CHUNK_CELLS pending
-    cells) at a time, and complete when ``solve`` returns; only those fills add
-    distance work to ``elapsed_seconds``."""
+    it, each recorded iterate is kept (no step writes into one) and the
+    distances are filled whenever the pending iterates hold TRACE_CHUNK_CELLS
+    cells, in one stacked call each, and complete when ``solve`` returns; only
+    those fills add distance work to ``elapsed_seconds``."""
 
     iteration: list[int] = field(default_factory=list)
     objective: list[float] = field(default_factory=list)
@@ -162,7 +154,7 @@ class SolverTrace:
         if truth is not None:
             self._pending.append((state.xi, state.gamma))
             cells = len(self._pending) * (state.xi.size + state.gamma.size)
-            if len(self._pending) == TRACE_CHUNK or cells >= TRACE_CHUNK_CELLS:
+            if cells >= TRACE_CHUNK_CELLS:
                 self.fill_distances(truth)
 
     def fill_distances(self, truth: GroundTruth | None):
@@ -185,13 +177,6 @@ def initialise(ensemble, y) -> tuple[np.ndarray, np.ndarray]:
     return xi0, np.ones(ensemble.m)
 
 
-def _evaluated(state: SolverState, ensemble, y) -> SolverState:
-    """The state itself if it carries its evaluation, else a copy that does."""
-    if state.evaluation is not None:
-        return state
-    return replace(state, evaluation=gradients(ensemble, y, (state.xi, state.gamma)))
-
-
 def _step(direction: np.ndarray, image: np.ndarray, mp: int) -> float:
     """Exact step mp ||direction||^2 / ||image||^2, or 0 when the image
     vanishes; the image is squared in place."""
@@ -210,7 +195,7 @@ def exact_line_search(state: SolverState, ensemble, y) -> tuple[float, float]:
     and yields step 0 for that block. A state that carries its evaluation is
     not evaluated again.
     """
-    grads = _evaluated(state, ensemble, y).evaluation
+    grads = state.evaluation or gradients(ensemble, y, (state.xi, state.gamma))
     mp = ensemble.m * ensemble.p
     g, h = grads.grad_xi, grads.grad_gamma_projected
     return _step(g, state.gamma * forward(ensemble, g), mp), _step(h, grads.ax * h, mp)
@@ -288,8 +273,8 @@ def iterate(state: SolverState, config: SolverConfig, ensemble, y,
         raise ParameterError(
             "fixed step mode needs explicit (mu_xi, mu_gamma); "
             "solve() derives mu_gamma = mu * m / ||xi_0||^2")
-    state = _evaluated(state, ensemble, y)
-    state = replace(state, evaluation=replace(state.evaluation))
+    grads = state.evaluation or gradients(ensemble, y, (state.xi, state.gamma))
+    state = replace(state, evaluation=replace(grads))
     work = (*(np.empty((ensemble.p, ensemble.m)) for _ in range(4)),
             np.zeros(ensemble.n), np.zeros(ensemble.m))
     with np.errstate(over="ignore", invalid="ignore"):

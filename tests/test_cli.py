@@ -78,6 +78,43 @@ def test_solve_from_files(tmp_path):
     assert summary["error_db"] < -70.0
 
 
+def test_solve_from_binary_files_matches_csv(tmp_path):
+    # a path not ending in .csv is read as the binary format
+    x, d = np.random.default_rng(6).standard_normal(10), np.array([1.1, 0.9, 1.2, 0.8])
+    for ext, write in (("csv", fileio.write_vector_csv), ("bcal", fileio.write_array_binary)):
+        write(tmp_path / f"x.{ext}", x)
+        write(tmp_path / f"d.{ext}", d)
+        assert run(["solve", "--x-file", str(tmp_path / f"x.{ext}"),
+                    "--d-file", str(tmp_path / f"d.{ext}"), "--p", "16", "--rho", "0.3",
+                    "--seed", "3", "--out", str(tmp_path / ext)]) == 0
+    for name in ("x_hat.csv", "d_hat.csv", "summary.json"):
+        assert (tmp_path / "bcal" / name).read_bytes() == (tmp_path / "csv" / name).read_bytes()
+
+
+def test_no_projection_from_config(tmp_path, monkeypatch):
+    from blindcal import solver
+    configs = []
+
+    def recording_solve(ensemble, y, config, truth=None):
+        configs.append(config)
+        return original(ensemble, y, config, truth)
+
+    original = solver.solve
+    monkeypatch.setattr(solver, "solve", recording_solve)
+    (tmp_path / "config.json").write_text(json.dumps({"no_projection": True}))
+    assert run(["solve", "--n", "8", "--m", "4", "--p", "8", "--config",
+                str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == 0
+    assert [c.apply_C_rho_projection for c in configs] == [False]
+
+
+@pytest.mark.parametrize("value", ["yes", 1])
+def test_non_boolean_no_projection_in_config_is_usage_error(tmp_path, capsys, value):
+    (tmp_path / "config.json").write_text(json.dumps({"no_projection": value}))
+    assert run(["solve", "--config", str(tmp_path / "config.json"),
+                "--out", str(tmp_path / "out")]) == 1
+    assert "no_projection must be true or false" in capsys.readouterr().err
+
+
 def test_invalid_rho_is_usage_error(capsys):
     assert run(["solve", "--rho", "1.5"]) == 1
     assert "rho" in capsys.readouterr().err

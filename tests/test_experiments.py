@@ -183,6 +183,38 @@ def test_baseline_rejects_underdetermined_before_any_pass(monkeypatch):
     assert ensemble.operator_passes == 0
 
 
+def _rotation(n: int, k: float) -> np.ndarray:
+    """I + J with J antisymmetric, k on its 2x2 blocks: v.(I + J)v = |v|^2 > 0,
+    but the operator is not symmetric, so conjugate gradients need not converge."""
+    j = np.zeros((n, n))
+    for i in range(0, n, 2):
+        j[i, i + 1], j[i + 1, i] = -k, k
+    return np.eye(n) + j
+
+
+@pytest.mark.parametrize("operator, match, applications", [
+    (lambda n: -np.eye(n), "not positive definite", 1),
+    (lambda n: _rotation(n, 1.0), "stagnated", 50),  # no step improves on the start
+    (lambda n: _rotation(n, 0.1), r"did not reach rtol=1e-10 in 60 iterations", 60),
+], ids=["indefinite", "stalled", "budget"])
+def test_baseline_singular_exits(monkeypatch, operator, match, applications):
+    # a stand-in for the normal matrix G: the baseline applies G through gradients
+    from blindcal.objective import GradientPair
+    n, calls = 6, []
+    g = operator(n)
+
+    def apply(ensemble, y, point):
+        calls.append(point[0])
+        return GradientPair(g @ point[0], np.zeros(ensemble.m), np.zeros(ensemble.m))
+
+    monkeypatch.setattr("blindcal.experiments.gradients", apply)
+    rng = np.random.default_rng(19)
+    ensemble = SensingEnsemble.from_matrices(rng.standard_normal((2, 4, n)))
+    with pytest.raises(SingularityError, match=match):
+        least_squares_baseline(ensemble, rng.standard_normal((2, 4)))
+    assert len(calls) == applications
+
+
 # ---------------------------------------------------------------------------
 # concentration
 # ---------------------------------------------------------------------------

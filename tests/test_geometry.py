@@ -299,7 +299,9 @@ def projection_inputs(draw):
     The other half draws seeded uniform entries, whose sums round, spread
     0.1 to 0.5 rho (in the box) or 0.5 to 100 rho, with entries moved to the
     computed mean +- rho; an in-box draw then takes as rho its largest
-    |z_i - mean|, so that one extreme sits exactly at the edge."""
+    |z_i - mean|, so that one extreme sits exactly at the edge, clamped to
+    [1e-3, 0.99]: where the moved entries are most of a few, the mean does
+    not settle and that largest |z_i - mean| can exceed the draw's rho."""
     m = draw(st.integers(min_value=2, max_value=300))
     in_box = False
     if draw(st.booleans()):
@@ -334,6 +336,7 @@ def projection_inputs(draw):
         z = gamma - 1.0
         mean = np.add.reduce(z) / m
         rho = float(max(np.maximum.reduce(z) - mean, mean - np.minimum.reduce(z)))
+        rho = min(max(rho, 1e-3), 0.99)
     return gamma, rho
 
 

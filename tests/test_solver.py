@@ -281,9 +281,8 @@ def test_solve_checks_truth_before_the_operator(record_trace, bad):
 
 
 def test_traced_solve_with_truth_holds_few_large_iterates(monkeypatch):
-    # a record of this instance holds n + m = 20016 values, so the pending
-    # iterates are filled every TRACE_CHUNK_CELLS cells (4 records), not
-    # every TRACE_CHUNK records, which would hold 48 MiB
+    # a record of this instance holds n + m = 20016 values, more than
+    # TRACE_CHUNK_CELLS, so each record's distances are filled as it is taken
     inst = draw_instance(20000, 16, 2, 0.3, seed=3)
     config = SolverConfig(rho=0.3, objective_tolerance=1e-30, max_iterations=300)
     tracemalloc.start()
@@ -658,7 +657,8 @@ def test_lazy_line_search_carries_a_fresh_evaluation(monkeypatch):
 @pytest.mark.parametrize("lazy", [False, True], ids=["cached", "lazy"])
 @pytest.mark.parametrize("mode", [LINE_SEARCH, FIXED])
 def test_solve_is_a_loop_of_iterate(monkeypatch, lazy, mode):
-    monkeypatch.setattr("blindcal.solver.TRACE_CHUNK", 7)  # 41 records: 5 full chunks and 6
+    # 41 records of n + m = 18 cells: 5 chunks of 7 records and one of 6
+    monkeypatch.setattr("blindcal.solver.TRACE_CHUNK_CELLS", 7 * 18)
     inst = trajectory_instance(monkeypatch, lazy)
     config = SolverConfig(step_mode=mode, mu=2e-3, rho=0.3,
                           objective_tolerance=1e-30, max_iterations=40)
