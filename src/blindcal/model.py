@@ -9,14 +9,17 @@ Every application of the operator is one loop over ``SensingEnsemble.blocks()``,
 which chooses between the cached stack and regeneration and counts one
 operator pass per call. A cached ensemble builds its one block, the
 flattened (p*m, n) view of the stack, once and hands out that same block on
-every pass. ``matrix(l)`` makes the same choice for one snapshot; the
-diagnostics that read snapshots one at a time through ``iter_matrices()``
+every pass; a lazy pass holds one window of snapshots, drawn ahead on pool
+threads with the same bits. ``matrix(l)`` makes the same choice for one
+snapshot; diagnostics reading one at a time through ``iter_matrices()``
 (``objective.hessian``, ``experiments.check_concentration``) count no pass.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -31,9 +34,21 @@ DISTRIBUTIONS = (GAUSSIAN, RADEMACHER)
 
 # Ensembles with at most this many cells (p*m*n) are kept stacked in memory;
 # larger ones are regenerated snapshot by snapshot so that grid experiments
-# never hold all p matrices at once. The stack is filled in place, so the
-# limit also bounds the peak: 8 bytes per cell plus one snapshot.
+# never hold all p matrices at once, only one window drawn ahead. The stack
+# is filled in place: its peak is 8 bytes per cell plus one snapshot.
 CACHE_LIMIT_CELLS = 1 << 25
+
+# Snapshots are drawn ahead in tasks of at least this many cells, one hand-off each.
+DRAW_TASK_CELLS = 1 << 15
+
+
+@lru_cache
+def _pool(pid: int):
+    """Process pid's draw-ahead pool, one thread per CPU (a forked child has its own)."""
+    from concurrent.futures import ThreadPoolExecutor
+    affinity = getattr(os, "sched_getaffinity", None)
+    threads = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return ThreadPoolExecutor(threads), threads
 
 
 def as_point(point) -> tuple[np.ndarray, np.ndarray]:
@@ -53,9 +68,9 @@ class SensingEnsemble:
     Ensembles of at most ``CACHE_LIMIT_CELLS`` cells are cached stacked as a
     C-contiguous (p, m, n) array on first use, allocated once and filled one
     snapshot at a time, so building it never holds the operator twice;
-    ``blocks()`` hands the operator either that stack or one regenerated
-    snapshot at a time, and ``operator_passes`` counts its calls, one per
-    application of the operator.
+    ``blocks()`` hands the operator that stack or one regenerated snapshot at
+    a time, from a window of two tasks per CPU drawn ahead; ``operator_passes``
+    counts its calls, one per application of the operator.
     """
 
     n: int
@@ -66,6 +81,7 @@ class SensingEnsemble:
     _cache: np.ndarray | None = field(default=None, repr=False, compare=False)
     _blocks: tuple | None = field(default=None, init=False, repr=False, compare=False)
     operator_passes: int = field(default=0, init=False, repr=False, compare=False)
+    _ahead: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n", "m", "p"):
@@ -94,7 +110,14 @@ class SensingEnsemble:
         return self._draw(l)
 
     def _draw(self, l: int) -> np.ndarray:
-        rng = np.random.default_rng(derive_seed(self.seed, [("snapshot", l)]))
+        future, j = self._ahead.pop(l, (None, 0))  # drawn ahead by a lazy pass?
+        return self._fill(self._generator(l)) if future is None else future.result()[j]
+
+    def _generator(self, l: int) -> np.random.Generator:
+        return np.random.default_rng(derive_seed(self.seed, [("snapshot", l)]))
+
+    def _fill(self, rng: np.random.Generator) -> np.ndarray:
+        # numpy releases the GIL while it fills, so this runs on pool threads
         if self.distribution == GAUSSIAN:
             return rng.standard_normal((self.m, self.n))
         return 2.0 * rng.integers(0, 2, size=(self.m, self.n)) - 1.0
@@ -126,9 +149,26 @@ class SensingEnsemble:
         if self._blocks is None:
             stacked = self.stacked()
             if stacked is None:
-                return ((slice(l, l + 1), self.matrix(l)) for l in range(self.p))
+                return self._sweep()
             self._blocks = ((slice(0, self.p), stacked.reshape(self.p * self.m, self.n)),)
         return self._blocks
+
+    def _sweep(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """The lazy blocks in order, seeded here and filled ahead on pool threads."""
+        per_task = -(-DRAW_TASK_CELLS // (self.m * self.n))
+        drawn = min(per_task, self.p)  # matrix(l) draws the first task here
+        pool, threads = _pool(os.getpid())
+        try:
+            for l in range(self.p):
+                while drawn < min(l + 2 * threads * per_task, self.p):
+                    task = range(drawn, min(drawn + per_task, self.p))
+                    future = pool.submit(list, map(self._fill, [self._generator(k) for k in task]))
+                    self._ahead.update((k, (future, j)) for j, k in enumerate(task))
+                    drawn = task.stop
+                yield slice(l, l + 1), self.matrix(l)
+        finally:  # left early: cancel the fills not begun, wait for the running ones
+            for future, _ in [self._ahead.pop(k) for k in range(drawn) if k in self._ahead]:
+                future.cancel() or future.exception()
 
 
 # The public name for making a seeded ensemble: the class itself.

@@ -1,13 +1,18 @@
+import os
+import threading
 import tracemalloc
+from dataclasses import astuple
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from blindcal import model
 from blindcal.errors import DimensionError, ParameterError
 from blindcal.model import (GroundTruth, SensingEnsemble, adjoint, forward,
                             generate_ensemble, sense)
+from blindcal.objective import gradients
 
 
 def test_generate_is_deterministic():
@@ -288,3 +293,99 @@ def test_from_matrices_rejects_empty_dimension(shape):
 def test_ensemble_rejects_unknown_distribution():
     with pytest.raises(ParameterError):
         SensingEnsemble(n=2, m=2, p=2, distribution="cauchy")
+
+
+# ---------------------------------------------------------------------------
+# lazy sweeps drawn ahead on the pool
+# ---------------------------------------------------------------------------
+
+def lazy_draw_ahead_ensemble(monkeypatch, distribution="gaussian"):
+    """A lazy ensemble of two snapshots per draw-ahead task, p past the window."""
+    n, m = 6, 4
+    monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 1)
+    monkeypatch.setattr("blindcal.model.DRAW_TASK_CELLS", 2 * m * n)
+    window = 2 * model._pool(os.getpid())[1] * 2  # two tasks per pool thread
+    return generate_ensemble(n, m, 2 * window + 3, distribution, seed=21)
+
+
+def serial_blocks(ensemble):
+    """The lazy blocks as one loop over ``matrix(l)``, nothing drawn ahead."""
+    ensemble.operator_passes += 1
+    return ((slice(l, l + 1), ensemble.matrix(l)) for l in range(ensemble.p))
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
+def test_lazy_sweep_drawn_ahead_keeps_the_serial_bits(monkeypatch, distribution):
+    e = lazy_draw_ahead_ensemble(monkeypatch, distribution)
+    rng = np.random.default_rng(4)
+    v, w, y = (rng.standard_normal(shape) for shape in (e.n, (e.p, e.m), (e.p, e.m)))
+    point = rng.standard_normal(e.n), 1.0 + 0.1 * rng.standard_normal(e.m)
+
+    def operators():
+        return (forward(e, v), adjoint(e, w), *astuple(gradients(e, y, point)))
+
+    ahead = operators()
+    monkeypatch.setattr(SensingEnsemble, "blocks", serial_blocks)
+    for got, want in zip(ahead, operators(), strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("leave", ["break", "raise", "draw-raises"])
+def test_abandoned_lazy_sweep_leaves_nothing_in_flight(monkeypatch, leave):
+    e = lazy_draw_ahead_ensemble(monkeypatch)
+    expected = [e.matrix(l) for l in range(e.p)]
+    pool, submitted = model._pool(os.getpid())[0], []
+    submit = pool.submit
+    monkeypatch.setattr(pool, "submit", lambda *a: submitted.append(submit(*a)) or submitted[-1])
+    if leave == "break":
+        for _ in e.blocks():
+            break
+    elif leave == "raise":
+        with pytest.raises(RuntimeError):
+            for l, _ in enumerate(e.blocks()):
+                if l == 1:
+                    raise RuntimeError("consumer fails mid-sweep")
+    else:
+        draw = SensingEnsemble._draw
+
+        def failing_draw(self, l):
+            if l == 1:
+                raise RuntimeError("draw fails mid-sweep")
+            return draw(self, l)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SensingEnsemble, "_draw", failing_draw)
+            with pytest.raises(RuntimeError):
+                forward(e, np.ones(e.n))
+    assert submitted and all(task.done() for task in submitted)
+    assert e._ahead == {}
+    blocks = list(e.blocks())
+    assert [sl for sl, _ in blocks] == [slice(l, l + 1) for l in range(e.p)]
+    for (_, rows), want in zip(blocks, expected, strict=True):
+        np.testing.assert_array_equal(rows, want)
+
+
+def test_lazy_sweep_seeds_and_yields_in_order_on_the_calling_thread(monkeypatch):
+    # the benchmark's span recorder wraps matrix and derive_seed and keeps
+    # one stack: both stay on the caller's thread, once per snapshot, in order
+    e = lazy_draw_ahead_ensemble(monkeypatch)
+    caller, calls, fills = threading.get_ident(), [], []
+    matrix, derive_seed, fill = SensingEnsemble.matrix, model.derive_seed, SensingEnsemble._fill
+
+    def recorded(name, function):
+        def call(*args):
+            calls.append((name, args[1] if name == "matrix" else None, threading.get_ident()))
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(SensingEnsemble, "matrix", recorded("matrix", matrix))
+    monkeypatch.setattr("blindcal.model.derive_seed", recorded("derive_seed", derive_seed))
+    monkeypatch.setattr(SensingEnsemble, "_fill",
+                        lambda self, rng: fills.append(threading.get_ident()) or fill(self, rng))
+    forward(e, np.ones(e.n))
+    adjoint(e, np.ones((e.p, e.m)))
+    assert {thread for *_, thread in calls} == {caller}
+    assert [l for name, l, _ in calls if name == "matrix"] == 2 * list(range(e.p))
+    assert sum(name == "derive_seed" for name, *_ in calls) == 2 * e.p
+    # each sweep fills its first task of two snapshots here, the rest on the pool
+    assert len(fills) == 2 * e.p and fills.count(caller) == 2 * 2
