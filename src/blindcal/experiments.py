@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -197,6 +196,7 @@ def run_phase_transition(spec: PhaseGridSpec, workers: int = 1) -> PhaseGridResu
     shape = (len(spec.p_values), len(spec.rho_values), spec.trials_per_cell)
     tasks = [(spec, cell, t) for cell in range(shape[0] * shape[1]) for t in range(shape[2])]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_phase_trial, tasks, chunksize=1))
     else:
@@ -405,7 +405,7 @@ def check_concentration(n: int, m: int, p: int, distribution: str, theta,
             raise ParameterError(f"unknown weighting {theta!r}; expected weights "
                                  f"or one of {sorted(NAMED_WEIGHTS)}")
         theta = NAMED_WEIGHTS[theta](m)
-    theta = check_array(theta, (m,), "theta")
+    theta = check_array(theta, (m,), "theta", finite=True)
     theta_inf = float(np.max(np.abs(theta)))
     deviations = []
     for t in range(trials):

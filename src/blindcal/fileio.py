@@ -3,8 +3,10 @@
 CSV matrices carry the header line ``# blindcal matrix <rows> <cols>`` and
 one row per line, row major. The binary format is magic ``BCAL``, u32
 version (= 1), u32 ndims, then ndims u64 dimensions, followed by the payload
-as little-endian 64-bit floats in C order. Images are binary netpbm, P5
-(grayscale) or P6 (colour), 8-bit with maxval 255, mapped to floats in [0, 1].
+as little-endian 64-bit floats in C order. Images are binary netpbm: ``P5``
+(grayscale) or ``P6`` (colour), then width, height and maxval (= 255) as
+positive decimals, each after whitespace and ``#`` comments that run to a
+newline, then one whitespace byte and the 8-bit raster, read as floats in [0, 1].
 
 Every CSV file is a header line, then one line of comma-joined cells per
 row, written by :func:`write_csv`. Floats in text formats are written with
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 from typing import Iterator
 
@@ -46,6 +49,26 @@ def _text_lines(path) -> Iterator[str]:
         raise FormatError(f"{path}: not ASCII text ({exc.reason} at byte {exc.start})") from None
 
 
+def _csv_table(path, header: str, what: str) -> tuple[re.Match, Iterator[str]]:
+    """The match of a CSV file's header line to the pattern ``header``, and the lines below."""
+    lines = _text_lines(path)
+    line = next(lines, "")
+    match = re.fullmatch(header, line)
+    if match is None:
+        raise FormatError(f"{path}: bad {what} header {line!r}")
+    return match, lines
+
+
+def _csv_rows(path, lines: Iterator[str], kinds: tuple, what: str) -> Iterator[list]:
+    """The non-empty ``lines`` as rows of one cell per kind, each converted by
+    its kind; an empty cell becomes None where the kind is ``_optional``."""
+    for line in filter(None, lines):
+        parts = line.split(",")
+        if len(parts) != len(kinds):
+            raise FormatError(f"{path}: bad {what} row {line!r}")
+        yield [_number(path, kind, v, f"{what} cell") for kind, v in zip(kinds, parts)]
+
+
 # ---------------------------------------------------------------------------
 # CSV vectors and matrices
 # ---------------------------------------------------------------------------
@@ -64,18 +87,11 @@ def write_matrix_csv(path, a):
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    lines = _text_lines(path)
-    header = next(lines, "")
-    parts = header.split()
-    if parts[:3] != ["#", "blindcal", "matrix"] or len(parts) != 5:
-        raise FormatError(f"{path}: bad matrix header {header!r}")
-    rows, cols = (_number(path, int, v, "matrix dimension") for v in parts[3:])
-    data = [[_number(path, float, v, "matrix entry") for v in line.split(",")]
-            for line in lines if line]
-    widths = sorted({len(row) for row in data})
-    if len(data) != rows or widths not in ([], [cols]):
-        raise FormatError(f"{path}: header says {rows}x{cols}, data has "
-                          f"{len(data)} rows of widths {widths}")
+    match, lines = _csv_table(path, r"# blindcal matrix (\d+) (\d+)", "matrix")
+    rows, cols = (_number(path, int, v, "matrix dimension") for v in match.groups())
+    data = list(_csv_rows(path, lines, (float,) * cols, "matrix"))
+    if len(data) != rows:
+        raise FormatError(f"{path}: header says {rows} rows, data has {len(data)}")
     return np.array(data, dtype=float).reshape(rows, cols)
 
 
@@ -105,16 +121,14 @@ def read_array_binary(path) -> np.ndarray:
         data = fh.read()
     if data[:4] != _MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}")
-    if len(data) < 12:
-        raise FormatError(f"{path}: truncated header")
-    version, ndims = struct.unpack_from("<II", data, 4)
-    if version != _VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    start = 12 + 8 * ndims
-    if len(data) < start:
-        raise FormatError(f"{path}: truncated header ({ndims} dimensions)")
-    dims = struct.unpack_from(f"<{ndims}Q", data, 12)
-    expected = 8 * math.prod(dims)
+    try:
+        version, ndims = struct.unpack_from("<II", data, 4)
+        if version != _VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        dims = struct.unpack_from(f"<{ndims}Q", data, 12)
+    except struct.error:
+        raise FormatError(f"{path}: truncated header") from None
+    start, expected = 12 + 8 * len(dims), 8 * math.prod(dims)
     if len(data) - start != expected:
         raise FormatError(f"{path}: payload has {len(data) - start} bytes, expected {expected}")
     return np.frombuffer(data, dtype="<f8", offset=start).reshape(dims).copy()
@@ -131,46 +145,24 @@ def read_vector_file(path) -> np.ndarray:
 # netpbm images (binary P5 / P6, maxval 255)
 # ---------------------------------------------------------------------------
 
-def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    while pos < len(data):
-        if data[pos:pos + 1].isspace():
-            pos += 1
-        elif data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < len(data) and not data[pos:pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise FormatError("truncated netpbm header")
-    return data[start:pos], pos
+_NETPBM_HEADER = re.compile(rb"P([56])" + rb"(?:\s|#[^\n]*\n)+([1-9]\d*)" * 3 + rb"\s")
 
 
 def read_image(path) -> np.ndarray:
     """Read a P5/P6 netpbm file into a (channels, height, width) float array."""
     with open(path, "rb") as fh:
         data = fh.read()
-    magic, pos = _read_token(data, 0)
-    if magic == b"P5":
-        channels = 1
-    elif magic == b"P6":
-        channels = 3
-    else:
-        raise FormatError(f"{path}: unsupported netpbm magic {magic!r} (need P5 or P6)")
-    width, pos = _read_token(data, pos)
-    height, pos = _read_token(data, pos)
-    maxval, pos = _read_token(data, pos)
-    width, height, maxval = (_number(path, int, token, "netpbm header field")
-                             for token in (width, height, maxval))
+    header = _NETPBM_HEADER.match(data)
+    if header is None:
+        raise FormatError(f"{path}: bad netpbm header {data[:32]!r} (need P5 or P6, "
+                          "then positive width, height and maxval)")
+    channels = 1 if header[1] == b"5" else 3
+    width, height, maxval = (_number(path, int, v, "netpbm header field")
+                             for v in header.groups()[1:])
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
-    if min(width, height) < 0:
-        raise FormatError(f"{path}: negative image size {width}x{height}")
-    pos += 1  # single whitespace byte terminates the header
     expected = width * height * channels
-    raster = data[pos:pos + expected]
+    raster = data[header.end():header.end() + expected]
     if len(raster) != expected:
         raise FormatError(f"{path}: raster has {len(raster)} bytes, expected {expected}")
     pixels = np.frombuffer(raster, dtype=np.uint8).astype(float) / 255.0
@@ -194,22 +186,6 @@ def write_image(path, image):
 # Solver traces and phase grids
 # ---------------------------------------------------------------------------
 
-def _csv_rows(path, columns: str, kinds: tuple, what: str) -> Iterator[list]:
-    """The rows under the header ``columns``, each cell converted by its kind;
-    an empty cell becomes None where the kind is ``_optional``."""
-    lines = _text_lines(path)
-    header = next(lines, "")
-    if header != columns:
-        raise FormatError(f"{path}: bad {what} header {header!r}")
-    for line in lines:
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(kinds):
-            raise FormatError(f"{path}: bad {what} row {line!r}")
-        yield [_number(path, kind, v, f"{what} cell") for kind, v in zip(kinds, parts)]
-
-
 def _optional(text: str) -> float | None:
     return float(text) if text else None
 
@@ -232,7 +208,8 @@ def write_trace_csv(path, trace: SolverTrace):
 def read_trace_csv(path) -> SolverTrace:
     trace = SolverTrace()
     kinds = tuple(kind for _, _, kind in _TRACE_SCHEMA)
-    for row in _csv_rows(path, _TRACE_HEADER, kinds, "trace"):
+    _, lines = _csv_table(path, re.escape(_TRACE_HEADER), "trace")
+    for row in _csv_rows(path, lines, kinds, "trace"):
         for (_, name, _), value in zip(_TRACE_SCHEMA, row):
             getattr(trace, name).append(value)
     return trace
@@ -251,7 +228,8 @@ def write_grid_csv(path, result):
 
 
 def read_grid_csv(path) -> list[dict]:
-    rows = _csv_rows(path, _GRID_COLUMNS, (int, float, int, int, float), "grid")
+    _, lines = _csv_table(path, re.escape(_GRID_COLUMNS), "grid")
+    rows = _csv_rows(path, lines, (int, float, int, int, float), "grid")
     return [dict(zip(_GRID_COLUMNS.split(","), row)) for row in rows]
 
 

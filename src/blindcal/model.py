@@ -235,6 +235,8 @@ class GroundTruth:
             size = check_size(np.size(value), f"length of {name}")
             object.__setattr__(self, name, check_array(value, (size,), name, finite=True))
         check_rho(self.rho)
+        if not np.any(self.x):  # every relative error would be 0/0
+            raise ParameterError("signal x is all zero, so the gains are not identifiable")
         m = self.d.size
         if np.any(self.d <= 0.0):
             raise ParameterError("gains must be strictly positive")

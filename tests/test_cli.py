@@ -158,6 +158,7 @@ def test_invalid_rho_is_usage_error(capsys):
     ["init-study", "--p-values", "8,0"],
     ["phase-transition", "--p-values", "4,x"],
     ["check-concentration", "--theta", "1,x"],
+    ["check-concentration", "--n", "4", "--m", "3", "--p", "5", "--theta", "nan,1,1"],
 ], ids=" ".join)
 def test_invalid_value_is_usage_error(tmp_path, capsys, args):
     image = tmp_path / "scene.pgm"
@@ -294,6 +295,18 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, config):
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
     assert errors and next(iter(config)) in errors[0]
+
+
+@pytest.mark.parametrize("config, message", [
+    ([{"n": 8}], "must be a JSON object"),
+    ({"step_mode": "sideways"}, "step_mode must be one of"),
+], ids=["list", "step-mode-choice"])
+def test_config_not_an_object_or_off_its_choices_is_usage_error(tmp_path, capsys, config,
+                                                                message):
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert run(["solve", "--config", str(tmp_path / "config.json"),
+                "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_flags_override_config(tmp_path):

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import blindcal
 from blindcal import fileio
 from blindcal.errors import DimensionError, ParameterError, SingularityError
 from blindcal.experiments import (PhaseGridSpec, RateComparisonSpec,
@@ -122,6 +126,15 @@ def test_lazy_workers_after_a_lazy_sweep_in_the_parent_match_serial(monkeypatch)
 def test_grid_spec_rejects_bad_values(bad, error):
     with pytest.raises(error):
         PhaseGridSpec(**bad)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the process pool loads only when a grid runs on more than one worker
+    code = "import sys, blindcal.experiments; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(blindcal.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_grid_rejects_zero_workers():

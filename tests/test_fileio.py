@@ -131,6 +131,12 @@ def test_truncated_raster(tmp_path):
         fileio.read_image(path)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (2, 4, 4)], ids=["2d", "two-channels"])
+def test_write_image_rejects_other_shapes(tmp_path, shape):
+    with pytest.raises(FormatError):
+        fileio.write_image(tmp_path / "img.pgm", np.zeros(shape))
+
+
 # ---------------------------------------------------------------------------
 # traces and grids
 # ---------------------------------------------------------------------------
@@ -226,19 +232,23 @@ _GRID_HEADER = b"p,rho,trials,successes,probability\n"
 @pytest.mark.parametrize("reader,content", [
     ("read_array_binary", b"BCAL\x01\x00"),
     ("read_array_binary", b"BCAL\x01\x00\x00\x00\x02\x00\x00\x00" + bytes(8)),
+    ("read_array_binary", b"BCAL\x02\x00\x00\x00\x01\x00\x00\x00" + bytes([1]) + bytes(15)),
+    ("read_array_binary", b"BCAL\x01\x00\x00\x00\x01\x00\x00\x00" + bytes([2]) + bytes(15)),
     ("read_matrix_csv", b"# blindcal matrix 1 x\n1\n"),
     ("read_matrix_csv", b"# blindcal matrix 1 2\n1,abc\n"),
     ("read_matrix_csv", b"# blindcal matrix 2 2\n1,2\n3\n"),
     ("read_matrix_csv", b"# blindcal matrix 1 1\n\xff\n"),
     ("read_image", b"P5\nabc 2\n255\n" + bytes(4)),
     ("read_image", b"P5\n-2 -2\n255\n" + bytes(4)),
+    ("read_image", b"P5\n0 2\n255\n"),
     ("read_trace_csv", _TRACE_HEADER + b"0,abc,0.0,0.0,,,0.0\n"),
     ("read_trace_csv", _TRACE_HEADER + b"0.5,1.0,0.0,0.0,,,0.0\n"),
     ("read_grid_csv", _GRID_HEADER + b"4,0.1,10\n"),
     ("read_grid_csv", _GRID_HEADER + b"4,0.1,ten,5,0.5\n"),
-], ids=["binary-truncated-header", "binary-truncated-dims", "csv-header-dimension",
-        "csv-cell", "csv-ragged", "csv-not-ascii", "image-width", "image-negative-size",
-        "trace-cell", "trace-iteration", "grid-row-length", "grid-cell"])
+], ids=["binary-truncated-header", "binary-truncated-dims", "binary-version",
+        "binary-payload-size", "csv-header-dimension", "csv-cell", "csv-ragged",
+        "csv-not-ascii", "image-width", "image-negative-size", "image-empty", "trace-cell",
+        "trace-iteration", "grid-row-length", "grid-cell"])
 def test_malformed_content_is_format_error(tmp_path, reader, content):
     path = tmp_path / "input"
     path.write_bytes(content)

@@ -196,6 +196,8 @@ def test_ground_truth_validation():
         GroundTruth(x=x, d=np.array([1.2, 1.2, 1.2, 1.2]), rho=0.5)  # sum != m
     with pytest.raises(ParameterError):
         GroundTruth(x=x, d=d, rho=1.0)
+    with pytest.raises(ParameterError):
+        GroundTruth(x=np.zeros(4), d=d, rho=0.2)  # gains not identifiable
 
 
 def test_canonical_truth_computed_once_and_read_only():
