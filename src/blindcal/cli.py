@@ -196,7 +196,7 @@ def _cmd_phase_transition(a: dict, out: str) -> int:
         print(f"  p={p:>5d}: {cells}")
     trials = result.trials
     failed = sum(t.stop_reason == solver.CONVERGED and not t.success for t in trials)
-    under = sum(spec.underdetermined(t.p) for t in trials)
+    under = sum(t.underdetermined for t in trials)
     diverged = sum(t.stop_reason.startswith("error:") for t in trials)
     print(f"  of {len(trials)} trials: {failed} converged but failed, {under} underdetermined "
           f"(m*p < n + m - 1), {diverged} diverged")

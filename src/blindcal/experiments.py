@@ -137,10 +137,6 @@ class PhaseGridSpec:
         check_count(self.trials_per_cell, "trials_per_cell")
         check_positive(-self.zeta_db, "-zeta_db")  # zeta_db finite and negative
 
-    def underdetermined(self, p: int) -> bool:
-        """m*p < n + m - 1: fewer measurements than unknowns up to scale."""
-        return self.m * p < self.n + self.m - 1
-
 
 @dataclass
 class TrialOutcome:
@@ -155,6 +151,7 @@ class TrialOutcome:
     seed: int
     objective: float  # final f; nan when the solve raised
     operator_passes: int
+    underdetermined: bool  # the trial's SensingEnsemble.underdetermined
     seconds: float  # wall time of the trial, instance draw included
 
 
@@ -183,7 +180,8 @@ def _phase_trial(args) -> TrialOutcome:
     except BlindcalError as exc:  # a diverging trial is a failure, not an abort
         success, err_db, iterations, stop, f = False, np.inf, 0, f"error: {exc}", np.nan
     return TrialOutcome(cell, p, rho, t, success, err_db, iterations, stop, seed, f,
-                        inst.ensemble.operator_passes - passes0, time.perf_counter() - t0)
+                        inst.ensemble.operator_passes - passes0, inst.ensemble.underdetermined,
+                        time.perf_counter() - t0)
 
 
 def run_phase_transition(spec: PhaseGridSpec, workers: int = 1) -> PhaseGridResult:

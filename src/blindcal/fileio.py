@@ -244,8 +244,7 @@ def write_trials_csv(path, result):
     write_csv(path, _TRIAL_COLUMNS, (
         (str(t.cell), str(t.p), repr(float(t.rho)), str(t.trial), str(t.seed),
          t.stop_reason.replace(",", ";"), str(t.iterations), repr(float(t.error_db)),
-         repr(float(t.objective)), str(int(result.spec.underdetermined(t.p))),
-         str(t.operator_passes))
+         repr(float(t.objective)), str(int(t.underdetermined)), str(t.operator_passes))
         for t in result.trials))
 
 

@@ -101,6 +101,11 @@ class SensingEnsemble:
         p, m, n = matrices.shape
         return cls(n=n, m=m, p=p, _cache=matrices)
 
+    @property
+    def underdetermined(self) -> bool:
+        """m*p < n + m - 1: too few measurements for fitted data to identify x and d."""
+        return self.m * self.p < self.n + self.m - 1
+
     def matrix(self, l: int) -> np.ndarray:
         """The l-th snapshot matrix A_l, shape (m, n)."""
         if not 0 <= l < self.p:

@@ -16,8 +16,10 @@ tolerance.
 The tolerance is ``objective_tolerance`` if given, else the scale-free
 ``RELATIVE_TOLERANCE * ||y||^2 / (2mp)`` (f at a zero signal), computed once
 per solve; all-zero data (f0 = 0) has converged at the start under either.
-An underdetermined instance (m*p < n + m - 1) can still fit the data and
-stop as converged without recovering x and d.
+On an underdetermined ensemble (m*p < n + m - 1,
+``SensingEnsemble.underdetermined``) data that is fit does not identify x
+and d, so a stop that would be CONVERGED is UNDERDETERMINED; budget and
+stagnation stops keep their reasons.
 
 Note on the line searches: each step is the exact minimiser of the 1-d
 quadratic along the descent direction, computed in closed form from the
@@ -34,12 +36,14 @@ evaluation, a k-iteration solve applies the operator exactly k + 2 times in
 either step mode. A zero direction still costs its pass; its step is 0
 because its image vanishes.
 
-Allocation and floating-point state: a ``SolverState`` and its
-``GradientPair`` are the descent's one state. A solve builds it from the
-start point's evaluation, allocates the work arrays of ``_advance`` once,
-and enters ``np.errstate(over="ignore", invalid="ignore")`` once, around its
-loop and the trace records taken in it. An iteration creates no state
-object and allocates vectors of length n or m only: the new iterate, the
+Allocation and floating-point state: the descent loop, ``_descend``, is
+built once per solve and run for one step by ``iterate``. It allocates its
+work arrays once and enters ``np.errstate(over="ignore", invalid="ignore")``
+once. The iterate, its evaluation and the steps are its local variables;
+the ``SolverState`` and its ``GradientPair`` are written only for a trace
+record and at the stop. On a cached ensemble an iteration is one
+straight-line step on whole arrays; a lazy one keeps the block sweep. An
+iteration allocates vectors of length n or m only: the new iterate, the
 projection's temporaries, A^T (gamma * r) and the gradients. Overflow, and
 the inf - inf it leads to, is the divergence signal: a non-finite iterate
 or objective raises DivergenceError.
@@ -66,6 +70,7 @@ LINE_SEARCH = "line_search"
 FIXED = "fixed"
 
 CONVERGED = "converged"
+UNDERDETERMINED = "underdetermined"  # CONVERGED on an underdetermined ensemble
 MAX_ITERATIONS = "max_iterations"
 STAGNATED = "stagnated"
 
@@ -180,8 +185,8 @@ def initialise(ensemble, y) -> tuple[np.ndarray, np.ndarray]:
 def _step(direction: np.ndarray, image: np.ndarray, mp: int) -> float:
     """Exact step mp ||direction||^2 / ||image||^2, or 0 when the image
     vanishes; the image is squared in place."""
-    den = float(np.add.reduce(np.multiply(image, image, out=image), None))
-    return mp * float(direction @ direction) / den if den > 0.0 else 0.0
+    den = float(np.add.reduce(np.multiply(image, image, image), None))
+    return mp * float(direction.dot(direction)) / den if den > 0.0 else 0.0
 
 
 def exact_line_search(state: SolverState, ensemble, y) -> tuple[float, float]:
@@ -202,69 +207,113 @@ def exact_line_search(state: SolverState, ensemble, y) -> tuple[float, float]:
 
 
 def _finite(v: np.ndarray, zeros: np.ndarray, iteration: int) -> np.ndarray:
-    if math.isnan(v @ zeros):  # 0 * +-inf and 0 * nan are nan, 0 * finite is +-0
+    if math.isnan(v.dot(zeros)):  # 0 * +-inf and 0 * nan are nan, 0 * finite is +-0
         raise DivergenceError(f"iterate became non-finite at iteration {iteration}", iteration)
     return v
 
 
-def _advance(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps, work):
-    """The one descent update of ``iterate`` and ``solve``: advance the state
-    and its evaluation in place, writing A g, A xi, r and an image scratch to
-    the first four ``work`` arrays, (p, m); the last two are zero vectors of
-    length n and m. Call it inside ``np.errstate(over="ignore",
-    invalid="ignore")`` (see the module docstring).
+def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
+             tolerance: float, budget: int, record=None) -> str:
+    """The descent loop of ``iterate`` and ``solve``: from ``state``, which
+    carries its evaluation, step until the iteration count reaches
+    ``budget``, f stagnates or the objective stepped from is below
+    ``tolerance``; write the state and its evaluation and return the stop
+    reason. ``record(state)``, if given, takes each thinned trace record.
 
-    Take the gain step from the carried A xi and project it; then one sweep
-    evaluates the new point. With line search, each block but the last gives
-    A_b g, a fresh A_b xi (no drift is carried) and the partials
-    bv = A_b^T (gamma' * r_b(xi)), bu = A_b^T (gamma'^2 * A_b g); there
-    A xi' = A xi - mu_xi A g. The last block, the only one of a cached
-    ensemble, is evaluated at xi' directly. The evaluation's A xi is then
-    ``work[1]``, which the next step reads for its gain step before its sweep
-    overwrites it.
+    Each step takes the gain step from the carried A xi and projects it; then
+    one pass over ``blocks()`` evaluates the new point. A cached ensemble's
+    one block gives A g and A xi', with the arithmetic of ``residual_block``
+    and ``residual_terms`` on whole arrays. On a lazy ensemble with line
+    search, each block but the last gives A_b g, a fresh A_b xi (no drift is
+    carried) and the partials bv = A_b^T (gamma' * r_b(xi)),
+    bu = A_b^T (gamma'^2 * A_b g); there A xi' = A xi - mu_xi A g, and the
+    last block is evaluated at xi' directly.
     """
-    grads, xi = state.evaluation, state.xi
-    g, h = grads.grad_xi, grads.grad_gamma_projected
-    ag, ax, r, image, zeros_n, zeros_m = work
-    p, mp, k = ensemble.p, ensemble.m * ensemble.p, state.iteration + 1
-    line_search = config.step_mode == LINE_SEARCH
-    if line_search:
-        mu_gamma = _step(h, np.multiply(grads.ax, h, out=image), mp)
-    else:
-        mu_xi, mu_gamma = fixed_steps
-        xi_next = _finite(xi - mu_xi * g, zeros_n, k)
-    gamma = _finite(state.gamma - mu_gamma * h, zeros_m, k)
-    if config.apply_C_rho_projection:
-        gamma = geometry.project_C_rho(gamma, config.rho)
-    if line_search:
-        bv = bu = 0.0
-        for sl, rows in ensemble.blocks():
-            np.dot(rows, g, out=ag[sl].reshape(-1))
-            if sl.stop < p:
-                bv += residual_block(rows, xi, gamma, y[sl], ax[sl], r[sl], image[sl])
-                bu += (gamma * gamma * ag[sl]).reshape(-1) @ rows
-        mu_xi = _step(g, np.multiply(state.gamma, ag, out=image), mp)
-        xi_next = _finite(xi - mu_xi * g, zeros_n, k)
-        back = residual_block(rows, xi_next, gamma, y[sl], ax[sl], r[sl], image[sl])
-        if sl.start:  # the earlier blocks
-            ax[:sl.start] -= mu_xi * ag[:sl.start]
-            np.subtract(gamma * ax[:sl.start], y[:sl.start], out=r[:sl.start])
-            back += bv - mu_xi * bu
-        terms = residual_terms(ax, r, back, image)
-    else:
-        terms = evaluate(ensemble, y, xi_next, gamma, ax, r, image)
-    grads.grad_xi, grads.grad_gamma, grads.grad_gamma_projected, f = terms
-    if not math.isfinite(f):
-        raise DivergenceError(f"objective became non-finite at iteration {k}", k)
-    grads.objective, grads.ax = f, ax
-    state.xi, state.gamma, state.iteration, state.objective = xi_next, gamma, k, f
-    state.mu_xi, state.mu_gamma = mu_xi, mu_gamma
+    grads, m, p = state.evaluation, ensemble.m, ensemble.p
+    mp, scale, rho = m * p, 1.0 / (m * p), config.rho
+    line_search, project = config.step_mode == LINE_SEARCH, config.apply_C_rho_projection
+    xi, gamma, k, f = state.xi, state.gamma, state.iteration, state.objective
+    g, grad_gamma, h, ax = grads.grad_xi, grads.grad_gamma, grads.grad_gamma_projected, grads.ax
+    mu_xi, mu_gamma = fixed_steps or (state.mu_xi, state.mu_gamma)
+    # the first step reads the carried A xi; the evaluations it makes go to work_ax
+    ag, work_ax, r, image = (np.empty((p, m)) for _ in range(4))
+    ag_flat, ax_flat, image_flat = ag.reshape(-1), work_ax.reshape(-1), image.reshape(-1)
+    zeros_n, zeros_m = np.zeros(ensemble.n), np.zeros(m)
+    cached = ensemble.stacked() is not None
+    recent = deque([f], maxlen=STAGNATION_WINDOW + 1)
+    stop = None
+    with np.errstate(over="ignore", invalid="ignore"):  # see the module docstring
+        while True:
+            if k >= budget:
+                stop = MAX_ITERATIONS
+            elif (len(recent) > STAGNATION_WINDOW
+                  and recent[0] - f < STAGNATION_RTOL * max(recent[0], 1e-300)):
+                stop = STAGNATED
+            else:
+                previous, k = f, k + 1
+                if line_search:
+                    mu_gamma = _step(h, np.multiply(ax, h, image), mp)
+                else:
+                    xi_next = _finite(xi - mu_xi * g, zeros_n, k)
+                gamma_next = _finite(gamma - mu_gamma * h, zeros_m, k)
+                if project:
+                    gamma_next = geometry.project_C_rho(gamma_next, rho)
+                if cached:
+                    (_, rows), = ensemble.blocks()
+                    if line_search:
+                        rows.dot(g, ag_flat)
+                        mu_xi = _step(g, np.multiply(gamma, ag, image), mp)
+                        xi_next = _finite(xi - mu_xi * g, zeros_n, k)
+                    rows.dot(xi_next, ax_flat)
+                    np.subtract(np.multiply(gamma_next, work_ax, r), y, r)
+                    np.multiply(gamma_next, r, image)
+                    back = image_flat.dot(rows)
+                    f = float(np.add.reduce(np.multiply(r, r, image), None)) / (2.0 * m * p)
+                    grad_gamma = scale * np.add.reduce(np.multiply(r, work_ax, r), 0)
+                    g, h = scale * back, grad_gamma - float(np.add.reduce(grad_gamma)) / m
+                elif line_search:
+                    bv = bu = 0.0
+                    for sl, rows in ensemble.blocks():
+                        np.dot(rows, g, out=ag[sl].reshape(-1))
+                        if sl.stop < p:
+                            bv += residual_block(rows, xi, gamma_next, y[sl], work_ax[sl], r[sl],
+                                                 image[sl])
+                            bu += (gamma_next * gamma_next * ag[sl]).reshape(-1) @ rows
+                    mu_xi = _step(g, np.multiply(gamma, ag, image), mp)
+                    xi_next = _finite(xi - mu_xi * g, zeros_n, k)
+                    back = residual_block(rows, xi_next, gamma_next, y[sl], work_ax[sl], r[sl],
+                                          image[sl])
+                    if sl.start:  # the earlier blocks
+                        work_ax[:sl.start] -= mu_xi * ag[:sl.start]
+                        np.subtract(gamma_next * work_ax[:sl.start], y[:sl.start],
+                                    out=r[:sl.start])
+                        back += bv - mu_xi * bu
+                    g, grad_gamma, h, f = residual_terms(work_ax, r, back, image)
+                else:
+                    g, grad_gamma, h, f = evaluate(ensemble, y, xi_next, gamma_next, work_ax, r,
+                                                   image)
+                if not math.isfinite(f):
+                    raise DivergenceError(f"objective became non-finite at iteration {k}", k)
+                xi, gamma, ax = xi_next, gamma_next, work_ax
+                recent.append(f)
+                if previous < tolerance:
+                    stop = CONVERGED
+                elif record is None or (k > TRACE_DENSE_LIMIT and k % 10):
+                    continue
+            state.xi, state.gamma, state.iteration, state.objective = xi, gamma, k, f
+            state.mu_xi, state.mu_gamma = mu_xi, mu_gamma
+            if stop is not None:
+                grads.grad_xi, grads.grad_gamma, grads.grad_gamma_projected = g, grad_gamma, h
+                grads.objective, grads.ax = f, ax
+                return stop
+            record(state)
 
 
 def iterate(state: SolverState, config: SolverConfig, ensemble, y,
             fixed_steps=None) -> SolverState:
-    """Apply one descent update; the new state carries the steps taken and
-    its own evaluation, and ``state`` is left unchanged.
+    """Apply one descent update, the loop of ``solve`` run for one step on a
+    copy of ``state``; the new state carries the steps taken and its own
+    evaluation, and ``state`` is left unchanged.
 
     Line-search mode takes the exact block steps; fixed mode needs the step
     pair (mu_xi, mu_gamma) in ``fixed_steps``.
@@ -275,10 +324,7 @@ def iterate(state: SolverState, config: SolverConfig, ensemble, y,
             "solve() derives mu_gamma = mu * m / ||xi_0||^2")
     grads = state.evaluation or gradients(ensemble, y, (state.xi, state.gamma))
     state = replace(state, evaluation=replace(grads))
-    work = (*(np.empty((ensemble.p, ensemble.m)) for _ in range(4)),
-            np.zeros(ensemble.n), np.zeros(ensemble.m))
-    with np.errstate(over="ignore", invalid="ignore"):
-        _advance(state, config, ensemble, y, fixed_steps, work)
+    _descend(state, config, ensemble, y, fixed_steps, -math.inf, state.iteration + 1)
     return state
 
 
@@ -328,34 +374,20 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
             raise ParameterError("zero initial signal estimate; cannot scale gain step")
         fixed_steps = (config.mu, config.mu * ensemble.m / norm0)
     state = SolverState(xi0, gamma0, 0, f0, evaluation=grads0)
-    work = (*(np.empty((ensemble.p, ensemble.m)) for _ in range(4)),
-            np.zeros(ensemble.n), np.zeros(ensemble.m))
 
     trace = SolverTrace()
+    record = None
     if config.record_trace:
-        trace.record(state, time.perf_counter() - t0, truth)
+        def record(s):
+            trace.record(s, time.perf_counter() - t0, truth)
+        record(state)
 
-    recent = deque([f0], maxlen=STAGNATION_WINDOW + 1)
-    stop = CONVERGED if f0 < tolerance or f0 == 0.0 else None
-    with np.errstate(over="ignore", invalid="ignore"):  # see _advance
-        while stop is None:
-            if state.iteration >= config.max_iterations:
-                stop = MAX_ITERATIONS
-            elif (len(recent) > STAGNATION_WINDOW
-                  and recent[0] - state.objective < STAGNATION_RTOL * max(recent[0], 1e-300)):
-                stop = STAGNATED
-            else:
-                previous_objective = state.objective
-                _advance(state, config, ensemble, y, fixed_steps, work)
-                recent.append(state.objective)
-                if config.record_trace and (state.iteration <= TRACE_DENSE_LIMIT
-                                            or state.iteration % 10 == 0):
-                    trace.record(state, time.perf_counter() - t0, truth)
-                if previous_objective < tolerance:
-                    stop = CONVERGED
-
-    if config.record_trace and trace.iteration[-1] != state.iteration:
-        trace.record(state, time.perf_counter() - t0, truth)
+    stop = CONVERGED if f0 < tolerance or f0 == 0.0 else _descend(
+        state, config, ensemble, y, fixed_steps, tolerance, config.max_iterations, record)
+    if stop == CONVERGED and ensemble.underdetermined:
+        stop = UNDERDETERMINED
+    if record is not None and trace.iteration[-1] != state.iteration:
+        record(state)
     trace.fill_distances(truth)
     return SolveResult(x_hat=state.xi, d_hat=state.gamma, trace=trace,
                        stop_reason=stop, iterations=state.iteration,

@@ -16,7 +16,7 @@ from blindcal.geometry import delta, delta_F, draw_gain_perturbation, project_C_
 from blindcal.model import GroundTruth, SensingEnsemble, generate_ensemble, sense
 from blindcal.objective import forward, gradients, objective_value
 from blindcal.solver import (CONVERGED, FIXED, LINE_SEARCH, MAX_ITERATIONS,
-                             STAGNATION_RTOL, STAGNATION_WINDOW, SolverConfig,
+                             STAGNATION_RTOL, STAGNATION_WINDOW, UNDERDETERMINED, SolverConfig,
                              SolverState, contraction_diagnostics, default_kappa,
                              exact_line_search, initialise, iterate, solve)
 
@@ -250,12 +250,22 @@ def test_default_stop_rule_is_scale_free():
 
 
 def test_relative_tolerance_bounds_f_by_the_data_energy():
-    inst = draw_instance(16, 8, 2, 0.3, seed=6)
-    threshold = solver.RELATIVE_TOLERANCE * float(np.sum(inst.y ** 2)) / (2 * 8 * 2)
+    # identifiable (mp = 32 >= n + m - 1 = 23), so the stop is converged
+    inst = draw_instance(16, 8, 4, 0.3, seed=6)
+    threshold = solver.RELATIVE_TOLERANCE * float(np.sum(inst.y ** 2)) / (2 * 8 * 4)
     result = solve(inst.ensemble, inst.y, SolverConfig(rho=0.3))
     # the stop takes one step more after f first falls below the threshold
     assert result.stop_reason == CONVERGED
     assert result.trace.objective[-2] < threshold <= result.trace.objective[-3]
+
+
+def test_underdetermined_fit_stops_underdetermined():
+    # m*p = n + m - 1 is the smallest identifiable p
+    assert [SensingEnsemble(9, 4, p).underdetermined for p in (2, 3)] == [True, False]
+    inst = draw_instance(16, 8, 2, 0.3, seed=6)  # mp = 16 < n + m - 1 = 23
+    assert solve(inst.ensemble, inst.y, SolverConfig(rho=0.3)).stop_reason == UNDERDETERMINED
+    budget = solve(inst.ensemble, inst.y, SolverConfig(rho=0.3, max_iterations=3))
+    assert budget.stop_reason == MAX_ITERATIONS
 
 
 @pytest.mark.parametrize("tolerance", [None, 1e-7])
@@ -637,6 +647,27 @@ def test_line_search_sweep_matches_two_passes_on_cached_ensemble():
         assert_same_evaluation(state.evaluation, expected, np.testing.assert_array_equal)
 
 
+def test_fixed_step_matches_the_public_pieces_on_cached_ensemble():
+    inst = draw_instance(12, 6, 6, 0.3, seed=90)
+    assert inst.ensemble.stacked() is not None
+    config = SolverConfig(step_mode=FIXED, mu=2e-3, rho=0.3)
+    xi, gamma = initialise(inst.ensemble, inst.y)
+    fixed = (2e-3, 2e-3 * inst.ensemble.m / float(xi @ xi))
+    state = SolverState(xi, gamma, 0, 0.0,
+                        evaluation=gradients(inst.ensemble, inst.y, (xi, gamma)))
+    for _ in range(5):
+        xi = state.xi - fixed[0] * state.evaluation.grad_xi
+        gamma = project_C_rho(state.gamma - fixed[1] * state.evaluation.grad_gamma_projected,
+                              config.rho)
+        expected = gradients(inst.ensemble, inst.y, (xi, gamma))
+        state = iterate(state, config, inst.ensemble, inst.y, fixed)
+        np.testing.assert_array_equal(state.xi, xi)
+        np.testing.assert_array_equal(state.gamma, gamma)
+        assert state.objective == expected.objective
+        assert (state.mu_xi, state.mu_gamma) == fixed
+        assert_same_evaluation(state.evaluation, expected, np.testing.assert_array_equal)
+
+
 def test_lazy_line_search_carries_a_fresh_evaluation(monkeypatch):
     inst = trajectory_instance(monkeypatch, lazy=True)
     config = SolverConfig(step_mode=LINE_SEARCH, rho=0.3)
@@ -654,14 +685,18 @@ def test_lazy_line_search_carries_a_fresh_evaluation(monkeypatch):
         assert_same_evaluation(state.evaluation, fresh, close_in_norm)
 
 
-@pytest.mark.parametrize("lazy", [False, True], ids=["cached", "lazy"])
-@pytest.mark.parametrize("mode", [LINE_SEARCH, FIXED])
-def test_solve_is_a_loop_of_iterate(monkeypatch, lazy, mode):
+@pytest.mark.parametrize("mode, lazy, rho, project", [
+    pytest.param(mode, lazy, rho, project,
+                 id="-".join((mode, "lazy" if lazy else "cached") + extra))
+    for mode in (LINE_SEARCH, FIXED) for lazy in (False, True)
+    for rho, project, extra in ((0.3, True, ()), (0.3, False, ("unprojected",)),
+                                (0.0, True, ("rho0",)))])
+def test_solve_is_a_loop_of_iterate(monkeypatch, lazy, mode, rho, project):
     # 41 records of n + m = 18 cells: 5 chunks of 7 records and one of 6
     monkeypatch.setattr("blindcal.solver.TRACE_CHUNK_CELLS", 7 * 18)
     inst = trajectory_instance(monkeypatch, lazy)
-    config = SolverConfig(step_mode=mode, mu=2e-3, rho=0.3,
-                          objective_tolerance=1e-30, max_iterations=40)
+    config = SolverConfig(step_mode=mode, mu=2e-3, rho=rho, objective_tolerance=1e-30,
+                          max_iterations=40, apply_C_rho_projection=project)
     result = solve(inst.ensemble, inst.y, config, truth=inst.truth)
     # the same descent by hand, through the public step
     before = inst.ensemble.operator_passes
