@@ -99,8 +99,15 @@ def write_vector_csv(path, v):
     write_matrix_csv(path, np.asarray(v, dtype=float).reshape(1, -1))
 
 
+def _vector(path, a: np.ndarray) -> np.ndarray:
+    """a as a 1-d array; only a 1-d array, a row or a column is a vector."""
+    if sum(size > 1 for size in a.shape) > 1:
+        raise FormatError(f"{path}: expected a vector, got a {'x'.join(map(str, a.shape))} array")
+    return a.ravel()
+
+
 def read_vector_csv(path) -> np.ndarray:
-    return read_matrix_csv(path).ravel()
+    return _vector(path, read_matrix_csv(path))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +145,7 @@ def read_vector_file(path) -> np.ndarray:
     """Vector from .csv or binary, chosen by extension."""
     if str(path).endswith(".csv"):
         return read_vector_csv(path)
-    return read_array_binary(path).ravel()
+    return _vector(path, read_array_binary(path))
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,7 @@ def forward(ensemble: SensingEnsemble, v) -> np.ndarray:
     v = check_array(v, (ensemble.n,), "vector")
     out = np.empty((ensemble.p, ensemble.m))
     for sl, rows in ensemble.blocks():
-        np.dot(rows, v, out=out[sl].reshape(-1))
+        rows.dot(v, out[sl].reshape(-1))
     return out
 
 
@@ -199,7 +199,7 @@ def adjoint(ensemble: SensingEnsemble, w) -> np.ndarray:
     w = check_array(w, (p, m), "weights")
     out = np.zeros(ensemble.n)
     for sl, rows in ensemble.blocks():
-        out += w[sl].reshape(-1) @ rows
+        out += w[sl].reshape(-1).dot(rows)
     return out
 
 

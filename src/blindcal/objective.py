@@ -17,8 +17,10 @@ E f = (1 / 2m) || xi gamma^T - x* d*^T ||_F^2.
 
 ``gradients`` evaluates a point in one sweep over ``ensemble.blocks()`` and
 also returns f and the image A xi: each block of rows gives its part of
-A xi, of the residual r and of A^T (gamma * r), so a lazy ensemble
-regenerates each A_l once per evaluation. The summation order follows the
+A xi, of the residual r and of A^T (gamma * r) (``residual_block``), so a
+lazy ensemble regenerates each A_l once per evaluation; ``residual_terms``
+then forms the gradients and f on whole arrays. The solver's lazy sweep
+uses the same two helpers. The summation order follows the
 blocks: one BLAS gemv on the cached (p*m, n) stack, ascending snapshot order
 on a lazy ensemble. For one ensemble, BLAS library and thread count, every
 result repeats bit for bit; between the cached and the lazy path, or between
@@ -71,10 +73,9 @@ class GradientPair:
 def residual_block(rows, xi, gamma, y_b, ax_b, r_b, image_b) -> np.ndarray:
     """A_b xi into ax_b, gamma * (A_b xi) - y_b into r_b and gamma * r_b into
     image_b; returns A_b^T (gamma * r_b)."""
-    np.dot(rows, xi, out=ax_b.reshape(-1))
-    np.multiply(gamma, ax_b, out=r_b)
-    r_b -= y_b
-    return np.multiply(gamma, r_b, out=image_b).reshape(-1) @ rows
+    rows.dot(xi, ax_b.reshape(-1))
+    np.subtract(np.multiply(gamma, ax_b, r_b), y_b, r_b)
+    return np.multiply(gamma, r_b, image_b).reshape(-1).dot(rows)
 
 
 def residual_terms(ax, r, back, image) -> tuple:
@@ -89,20 +90,14 @@ def residual_terms(ax, r, back, image) -> tuple:
     return scale * back, grad_gamma, grad_gamma - np.add.reduce(grad_gamma) / m, objective
 
 
-def evaluate(ensemble, y, xi, gamma, ax, r, image) -> tuple:
-    """``residual_terms`` at (xi, gamma), unchecked, from one sweep over the
-    operator: A xi is written to ax, and r and image are (p, m) scratch."""
-    back = np.zeros(ensemble.n)
-    for sl, rows in ensemble.blocks():
-        back += residual_block(rows, xi, gamma, y[sl], ax[sl], r[sl], image[sl])
-    return residual_terms(ax, r, back, image)
-
-
 def gradients(ensemble, y, point) -> GradientPair:
     """Both gradient blocks, f and A xi, from one sweep over the operator."""
     xi, gamma, y = _check_shapes(ensemble, y, point)
     ax, r, image = (np.empty((ensemble.p, ensemble.m)) for _ in range(3))
-    return GradientPair(*evaluate(ensemble, y, xi, gamma, ax, r, image), ax)
+    back = np.zeros(ensemble.n)
+    for sl, rows in ensemble.blocks():
+        back += residual_block(rows, xi, gamma, y[sl], ax[sl], r[sl], image[sl])
+    return GradientPair(*residual_terms(ax, r, back, image), ax)
 
 
 def hessian(ensemble, y, point) -> np.ndarray:

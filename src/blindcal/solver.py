@@ -29,12 +29,11 @@ numerators reduce to mp times the squared direction norms.
 Operator cost: every iterate is evaluated once (f, A xi and both
 gradients) and the state carries that evaluation into the next step, so
 each iteration is one pass over the operator, one regeneration pass on a
-lazy ensemble. With line search the gain step needs only the carried A xi;
-one sweep then gives A g for the signal step and, as A xi' = A xi - mu_xi
-A g, the new point's evaluation. With the start point's adjoint and
-evaluation, a k-iteration solve applies the operator exactly k + 2 times in
-either step mode. A zero direction still costs its pass; its step is 0
-because its image vanishes.
+lazy ensemble. The gain step needs only the carried A xi; one sweep then
+gives A g for the signal step and the new point's evaluation, in either step
+mode (see ``_descend``). With the start point's adjoint and evaluation, a
+k-iteration solve applies the operator exactly k + 2 times. A zero
+direction still costs its pass; its step is 0 because its image vanishes.
 
 Allocation and floating-point state: the descent loop, ``_descend``, is
 built once per solve and run for one step by ``iterate``. It allocates its
@@ -42,7 +41,7 @@ work arrays once and enters ``np.errstate(over="ignore", invalid="ignore")``
 once. The iterate, its evaluation and the steps are its local variables;
 the ``SolverState`` and its ``GradientPair`` are written only for a trace
 record and at the stop. On a cached ensemble an iteration is one
-straight-line step on whole arrays; a lazy one keeps the block sweep. An
+straight-line step on whole arrays; a lazy one is the block sweep. An
 iteration allocates vectors of length n or m only: the new iterate, the
 projection's temporaries, A^T (gamma * r) and the gradients. Overflow, and
 the inf - inf it leads to, is the divergence signal: a non-finite iterate
@@ -63,8 +62,7 @@ from . import geometry
 from .errors import (DivergenceError, ParameterError, TheoryRangeWarning, check_array,
                      check_count, check_positive, check_rho)
 from .model import GroundTruth
-from .objective import (GradientPair, adjoint, evaluate, forward, gradients, residual_block,
-                        residual_terms)
+from .objective import GradientPair, adjoint, forward, gradients, residual_block, residual_terms
 
 LINE_SEARCH = "line_search"
 FIXED = "fixed"
@@ -223,11 +221,11 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
     Each step takes the gain step from the carried A xi and projects it; then
     one pass over ``blocks()`` evaluates the new point. A cached ensemble's
     one block gives A g and A xi', with the arithmetic of ``residual_block``
-    and ``residual_terms`` on whole arrays. On a lazy ensemble with line
-    search, each block but the last gives A_b g, a fresh A_b xi (no drift is
-    carried) and the partials bv = A_b^T (gamma' * r_b(xi)),
-    bu = A_b^T (gamma'^2 * A_b g); there A xi' = A xi - mu_xi A g, and the
-    last block is evaluated at xi' directly.
+    and ``residual_terms`` on whole arrays. On a lazy ensemble every block,
+    in either step mode, gives A_b g, a fresh A_b xi and the partials
+    bv = A_b^T (gamma' * r_b(xi)), bu = A_b^T (gamma'^2 * A_b g); after the
+    sweep, line search takes mu_xi, and A xi' = A xi - mu_xi A g and
+    A^T (gamma' * r') = bv - mu_xi bu.
     """
     grads, m, p = state.evaluation, ensemble.m, ensemble.p
     mp, scale, rho = m * p, 1.0 / (m * p), config.rho
@@ -271,27 +269,20 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
                     f = float(np.add.reduce(np.multiply(r, r, image), None)) / (2.0 * m * p)
                     grad_gamma = scale * np.add.reduce(np.multiply(r, work_ax, r), 0)
                     g, h = scale * back, grad_gamma - float(np.add.reduce(grad_gamma)) / m
-                elif line_search:
-                    bv = bu = 0.0
-                    for sl, rows in ensemble.blocks():
-                        np.dot(rows, g, out=ag[sl].reshape(-1))
-                        if sl.stop < p:
-                            bv += residual_block(rows, xi, gamma_next, y[sl], work_ax[sl], r[sl],
-                                                 image[sl])
-                            bu += (gamma_next * gamma_next * ag[sl]).reshape(-1) @ rows
-                    mu_xi = _step(g, np.multiply(gamma, ag, image), mp)
-                    xi_next = _finite(xi - mu_xi * g, zeros_n, k)
-                    back = residual_block(rows, xi_next, gamma_next, y[sl], work_ax[sl], r[sl],
-                                          image[sl])
-                    if sl.start:  # the earlier blocks
-                        work_ax[:sl.start] -= mu_xi * ag[:sl.start]
-                        np.subtract(gamma_next * work_ax[:sl.start], y[:sl.start],
-                                    out=r[:sl.start])
-                        back += bv - mu_xi * bu
-                    g, grad_gamma, h, f = residual_terms(work_ax, r, back, image)
                 else:
-                    g, grad_gamma, h, f = evaluate(ensemble, y, xi_next, gamma_next, work_ax, r,
-                                                   image)
+                    bv = bu = 0.0
+                    gamma_sq = gamma_next * gamma_next
+                    for sl, rows in ensemble.blocks():
+                        rows.dot(g, ag[sl].reshape(-1))
+                        bv += residual_block(rows, xi, gamma_next, y[sl], work_ax[sl], r[sl],
+                                             image[sl])
+                        bu += np.multiply(gamma_sq, ag[sl], image[sl]).reshape(-1).dot(rows)
+                    if line_search:
+                        mu_xi = _step(g, np.multiply(gamma, ag, image), mp)
+                        xi_next = _finite(xi - mu_xi * g, zeros_n, k)
+                    work_ax -= np.multiply(mu_xi, ag, ag)
+                    np.subtract(np.multiply(gamma_next, work_ax, r), y, r)
+                    g, grad_gamma, h, f = residual_terms(work_ax, r, bv - mu_xi * bu, image)
                 if not math.isfinite(f):
                     raise DivergenceError(f"objective became non-finite at iteration {k}", k)
                 xi, gamma, ax = xi_next, gamma_next, work_ax

@@ -91,6 +91,18 @@ def test_solve_from_binary_files_matches_csv(tmp_path):
         assert (tmp_path / "bcal" / name).read_bytes() == (tmp_path / "csv" / name).read_bytes()
 
 
+@pytest.mark.parametrize("ext, write", [("csv", fileio.write_matrix_csv),
+                                        ("bcal", fileio.write_array_binary)],
+                         ids=["csv", "binary"])
+def test_solve_rejects_a_matrix_file(tmp_path, capsys, ext, write):
+    # a (3, 4) matrix is not raveled into a 12-entry signal
+    write(tmp_path / f"x.{ext}", np.ones((3, 4)))
+    write(tmp_path / f"d.{ext}", np.ones(4))
+    assert run(["solve", "--x-file", str(tmp_path / f"x.{ext}"),
+                "--d-file", str(tmp_path / f"d.{ext}"), "--out", str(tmp_path / "out")]) == 2
+    assert "expected a vector, got a 3x4 array" in capsys.readouterr().err
+
+
 def test_no_projection_from_config(tmp_path, monkeypatch):
     from blindcal import solver
     configs = []

@@ -27,6 +27,19 @@ def test_vector_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(fileio.read_vector_csv(path), v)
 
 
+@pytest.mark.parametrize("ext, write", [("csv", fileio.write_matrix_csv),
+                                        ("bcal", fileio.write_array_binary)],
+                         ids=["csv", "binary"])
+def test_vector_readers_take_rows_and_columns_only(tmp_path, ext, write):
+    v = np.array([1.5, -2.25, 3.0])
+    for shape in ((1, 3), (3, 1)):
+        write(tmp_path / f"v.{ext}", v.reshape(shape))
+        np.testing.assert_array_equal(fileio.read_vector_file(tmp_path / f"v.{ext}"), v)
+    write(tmp_path / f"a.{ext}", np.ones((3, 4)))
+    with pytest.raises(FormatError, match="expected a vector, got a 3x4 array"):
+        fileio.read_vector_file(tmp_path / f"a.{ext}")
+
+
 def test_matrix_csv_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("not a header\n1,2\n")

@@ -668,10 +668,12 @@ def test_fixed_step_matches_the_public_pieces_on_cached_ensemble():
         assert_same_evaluation(state.evaluation, expected, np.testing.assert_array_equal)
 
 
-def test_lazy_line_search_carries_a_fresh_evaluation(monkeypatch):
+@pytest.mark.parametrize("mode", [LINE_SEARCH, FIXED])
+def test_lazy_step_carries_a_fresh_evaluation(monkeypatch, mode):
     inst = trajectory_instance(monkeypatch, lazy=True)
-    config = SolverConfig(step_mode=LINE_SEARCH, rho=0.3)
+    config = SolverConfig(step_mode=mode, mu=2e-3, rho=0.3)
     xi, gamma = initialise(inst.ensemble, inst.y)
+    fixed = (2e-3, 2e-3 * inst.ensemble.m / float(xi @ xi)) if mode == FIXED else None
     state = SolverState(xi, gamma, 0, 0.0,
                         evaluation=gradients(inst.ensemble, inst.y, (xi, gamma)))
 
@@ -680,9 +682,40 @@ def test_lazy_line_search_carries_a_fresh_evaluation(monkeypatch):
         assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
     for _ in range(20):
-        state = iterate(state, config, inst.ensemble, inst.y)
+        state = iterate(state, config, inst.ensemble, inst.y, fixed)
         fresh = gradients(inst.ensemble, inst.y, (state.xi, state.gamma))
         assert_same_evaluation(state.evaluation, fresh, close_in_norm)
+
+
+def poison_passed_blocks(ensemble):
+    """Make ``ensemble.blocks()`` yield copies, each filled with NaN once the
+    next block is asked for (and once the sweep is over)."""
+    blocks = ensemble.blocks
+
+    def sweep():
+        held = None
+        for sl, rows in blocks():
+            if held is not None:
+                held.fill(np.nan)
+            held = rows.copy()
+            yield sl, held
+        held.fill(np.nan)
+
+    ensemble.blocks = sweep
+
+
+@pytest.mark.parametrize("mode", [LINE_SEARCH, FIXED])
+def test_lazy_step_reads_no_block_after_the_sweep_moved_on(monkeypatch, mode):
+    inst = trajectory_instance(monkeypatch, lazy=True)
+    config = SolverConfig(step_mode=mode, mu=2e-3, rho=0.3, objective_tolerance=1e-30,
+                          max_iterations=10)
+    plain = solve(inst.ensemble, inst.y, config)
+    poison_passed_blocks(inst.ensemble)
+    result = solve(inst.ensemble, inst.y, config)
+    assert (result.stop_reason, result.iterations) == (plain.stop_reason, plain.iterations)
+    assert result.trace.objective == plain.trace.objective
+    np.testing.assert_array_equal(result.x_hat, plain.x_hat)
+    np.testing.assert_array_equal(result.d_hat, plain.d_hat)
 
 
 @pytest.mark.parametrize("mode, lazy, rho, project", [
