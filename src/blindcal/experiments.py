@@ -504,8 +504,8 @@ def run_init_study(n: int = 32, m: int = 16,
     analysis predicts a slope near -1/2.
     """
     trials = check_count(trials, "trials")
-    if len(p_values) < 2:
-        raise ParameterError("the slope fit needs at least two p values")
+    if len(set(p_values)) < 2:
+        raise ParameterError("the slope fit needs at least two distinct p values")
     mp_values = []
     means = []
     for ip, p in enumerate(p_values):

@@ -27,21 +27,22 @@ residuals. Because the directions are the gradient blocks themselves, the
 numerators reduce to mp times the squared direction norms.
 
 Operator cost: every iterate is evaluated once (f, A xi and both
-gradients) and the state carries that evaluation into the next step, so
-each iteration is one pass over the operator, one regeneration pass on a
-lazy ensemble. The gain step needs only the carried A xi; one sweep then
-gives A g for the signal step and the new point's evaluation, in either step
-mode (see ``_descend``). With the start point's adjoint and evaluation, a
-k-iteration solve applies the operator exactly k + 2 times. A zero
-direction still costs its pass; its step is 0 because its image vanishes.
+gradients) and the state carries that evaluation into the next step. The
+gain step needs only the carried A xi; one pass over the operator (one
+regeneration pass on a lazy ensemble) then gives A g and the new point's
+evaluation, in either step mode. A cached pass is ``gradients``' own
+``residual_block`` and ``residual_terms`` on its one block; a lazy sweep
+differs only in its recurrence for A xi' and A^T (gamma' * r'). With the
+start's adjoint and evaluation, a k-iteration solve applies the operator
+exactly k + 2 times. A zero direction still costs its pass; its step is 0.
 
 Allocation and floating-point state: the descent loop, ``_descend``, is
 built once per solve and run for one step by ``iterate``. It allocates its
 work arrays once and enters ``np.errstate(over="ignore", invalid="ignore")``
 once. The iterate, its evaluation and the steps are its local variables;
 the ``SolverState`` and its ``GradientPair`` are written only for a trace
-record and at the stop. On a cached ensemble an iteration is one
-straight-line step on whole arrays; a lazy one is the block sweep. An
+record and at the stop. A cached iteration is ``gradients``' own two helpers
+on its one block; a lazy one adds the sweep's recurrence. An
 iteration allocates vectors of length n or m only: the new iterate, the
 projection's temporaries, A^T (gamma * r) and the gradients. Overflow, and
 the inf - inf it leads to, is the divergence signal: a non-finite iterate
@@ -218,24 +219,24 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
     ``tolerance``; write the state and its evaluation and return the stop
     reason. ``record(state)``, if given, takes each thinned trace record.
 
-    Each step takes the gain step from the carried A xi and projects it; then
-    one pass over ``blocks()`` evaluates the new point. A cached ensemble's
-    one block gives A g and A xi', with the arithmetic of ``residual_block``
-    and ``residual_terms`` on whole arrays. On a lazy ensemble every block,
-    in either step mode, gives A_b g, a fresh A_b xi and the partials
-    bv = A_b^T (gamma' * r_b(xi)), bu = A_b^T (gamma'^2 * A_b g); after the
-    sweep, line search takes mu_xi, and A xi' = A xi - mu_xi A g and
-    A^T (gamma' * r') = bv - mu_xi bu.
+    Each step takes the gain step from the carried A xi and projects it, and
+    then one pass over ``blocks()``, which in line search also gives A g for
+    mu_xi; xi' = xi - mu_xi g in either mode. A cached ensemble's one block
+    gives the new point as ``gradients`` does, ``residual_block`` at xi'. On
+    a lazy ensemble every block gives A_b g, a fresh A_b xi and the partials
+    bv = A_b^T (gamma' * r_b(xi)), bu = A_b^T (gamma'^2 * A_b g), and only
+    the recurrence differs: A xi' = A xi - mu_xi A g and
+    A^T (gamma' * r') = bv - mu_xi bu. Both end in one ``residual_terms``.
     """
     grads, m, p = state.evaluation, ensemble.m, ensemble.p
-    mp, scale, rho = m * p, 1.0 / (m * p), config.rho
+    mp, rho = m * p, config.rho
     line_search, project = config.step_mode == LINE_SEARCH, config.apply_C_rho_projection
     xi, gamma, k, f = state.xi, state.gamma, state.iteration, state.objective
     g, grad_gamma, h, ax = grads.grad_xi, grads.grad_gamma, grads.grad_gamma_projected, grads.ax
     mu_xi, mu_gamma = fixed_steps or (state.mu_xi, state.mu_gamma)
     # the first step reads the carried A xi; the evaluations it makes go to work_ax
     ag, work_ax, r, image = (np.empty((p, m)) for _ in range(4))
-    ag_flat, ax_flat, image_flat = ag.reshape(-1), work_ax.reshape(-1), image.reshape(-1)
+    ag_flat = ag.reshape(-1)
     zeros_n, zeros_m = np.zeros(ensemble.n), np.zeros(m)
     cached = ensemble.stacked() is not None
     recent = deque([f], maxlen=STAGNATION_WINDOW + 1)
@@ -251,8 +252,6 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
                 previous, k = f, k + 1
                 if line_search:
                     mu_gamma = _step(h, np.multiply(ax, h, image), mp)
-                else:
-                    xi_next = _finite(xi - mu_xi * g, zeros_n, k)
                 gamma_next = _finite(gamma - mu_gamma * h, zeros_m, k)
                 if project:
                     gamma_next = geometry.project_C_rho(gamma_next, rho)
@@ -260,15 +259,6 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
                     (_, rows), = ensemble.blocks()
                     if line_search:
                         rows.dot(g, ag_flat)
-                        mu_xi = _step(g, np.multiply(gamma, ag, image), mp)
-                        xi_next = _finite(xi - mu_xi * g, zeros_n, k)
-                    rows.dot(xi_next, ax_flat)
-                    np.subtract(np.multiply(gamma_next, work_ax, r), y, r)
-                    np.multiply(gamma_next, r, image)
-                    back = image_flat.dot(rows)
-                    f = float(np.add.reduce(np.multiply(r, r, image), None)) / (2.0 * m * p)
-                    grad_gamma = scale * np.add.reduce(np.multiply(r, work_ax, r), 0)
-                    g, h = scale * back, grad_gamma - float(np.add.reduce(grad_gamma)) / m
                 else:
                     bv = bu = 0.0
                     gamma_sq = gamma_next * gamma_next
@@ -277,12 +267,16 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
                         bv += residual_block(rows, xi, gamma_next, y[sl], work_ax[sl], r[sl],
                                              image[sl])
                         bu += np.multiply(gamma_sq, ag[sl], image[sl]).reshape(-1).dot(rows)
-                    if line_search:
-                        mu_xi = _step(g, np.multiply(gamma, ag, image), mp)
-                        xi_next = _finite(xi - mu_xi * g, zeros_n, k)
+                if line_search:
+                    mu_xi = _step(g, np.multiply(gamma, ag, image), mp)
+                xi_next = _finite(xi - mu_xi * g, zeros_n, k)
+                if cached:
+                    back = residual_block(rows, xi_next, gamma_next, y, work_ax, r, image)
+                else:
                     work_ax -= np.multiply(mu_xi, ag, ag)
                     np.subtract(np.multiply(gamma_next, work_ax, r), y, r)
-                    g, grad_gamma, h, f = residual_terms(work_ax, r, bv - mu_xi * bu, image)
+                    back = bv - mu_xi * bu
+                g, grad_gamma, h, f = residual_terms(work_ax, r, back, image)
                 if not math.isfinite(f):
                     raise DivergenceError(f"objective became non-finite at iteration {k}", k)
                 xi, gamma, ax = xi_next, gamma_next, work_ax

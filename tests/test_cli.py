@@ -168,6 +168,7 @@ def test_invalid_rho_is_usage_error(capsys):
     ["init-study", "--n", "0"],
     ["init-study", "--m", "0"],
     ["init-study", "--p-values", "8,0"],
+    ["init-study", "--p-values", "16,16"],
     ["phase-transition", "--p-values", "4,x"],
     ["check-concentration", "--theta", "1,x"],
     ["check-concentration", "--n", "4", "--m", "3", "--p", "5", "--theta", "nan,1,1"],

@@ -399,7 +399,8 @@ def test_init_study_slope():
     assert -0.65 <= result.slope <= -0.35
 
 
-@pytest.mark.parametrize("bad", [dict(trials=0), dict(p_values=(8,)), dict(trials=1.5)])
+@pytest.mark.parametrize("bad", [dict(trials=0), dict(p_values=(8,)), dict(trials=1.5),
+                                 dict(p_values=(16, 16))])
 def test_init_study_rejects_bad_values(bad):
     with pytest.raises(ParameterError):
         run_init_study(**dict(dict(n=8, m=4, p_values=(8, 16), trials=2), **bad))

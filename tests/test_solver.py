@@ -151,8 +151,12 @@ def test_fixed_mode_requires_steps():
         iterate(state, config, ensemble, y)
 
 
-def test_divergent_step_raises():
+@pytest.mark.parametrize("lazy", [False, True], ids=["cached", "lazy"])
+def test_divergent_step_raises(monkeypatch, lazy):
+    if lazy:
+        monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 0)
     truth, ensemble, y = make_instance()
+    assert (ensemble.stacked() is None) == lazy
     config = SolverConfig(step_mode=FIXED, mu=1e12, rho=truth.rho,
                           max_iterations=50)
     with pytest.raises(DivergenceError) as err:
@@ -600,7 +604,8 @@ def test_iterate_evaluates_a_bare_state_once(mode):
     assert cost_b == cost_a + 1
 
 
-def test_lazy_line_search_regenerates_one_pass_per_iteration(monkeypatch):
+@pytest.mark.parametrize("step_mode", [LINE_SEARCH, FIXED])
+def test_lazy_step_regenerates_one_pass_per_iteration(monkeypatch, step_mode):
     inst = trajectory_instance(monkeypatch, lazy=True)
     draws = []
     draw = SensingEnsemble._draw
@@ -610,7 +615,7 @@ def test_lazy_line_search_regenerates_one_pass_per_iteration(monkeypatch):
         return draw(self, l)
 
     monkeypatch.setattr(SensingEnsemble, "_draw", counting_draw)
-    config = SolverConfig(step_mode=LINE_SEARCH, rho=0.3,
+    config = SolverConfig(step_mode=step_mode, mu=2e-3, rho=0.3,
                           objective_tolerance=1e-30, max_iterations=5)
     result = solve(inst.ensemble, inst.y, config)
     k, p = result.iterations, inst.ensemble.p
@@ -780,9 +785,13 @@ def test_iterate_leaves_its_argument_untouched(monkeypatch, lazy, mode, carried)
         assert state.evaluation is None
 
 
-def test_divergent_iterate_raises_without_warning():
+@pytest.mark.parametrize("lazy", [False, True], ids=["cached", "lazy"])
+def test_divergent_iterate_raises_without_warning(monkeypatch, lazy):
     # the divergent step of test_divergent_step_raises, one bare iterate() at a time
+    if lazy:
+        monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 0)
     truth, ensemble, y = make_instance()
+    assert (ensemble.stacked() is None) == lazy
     config = SolverConfig(step_mode=FIXED, mu=1e12, rho=truth.rho, max_iterations=50)
     with pytest.raises(DivergenceError) as in_solve:
         solve(ensemble, y, config)
