@@ -10,18 +10,24 @@ library while it checks the values it is given; 2 on a runtime error, which
 is any other library error (unreadable or malformed input files, divergence,
 singular systems) or an operating-system error.
 
+Each subcommand is one handler, ``_cmd_<name>``: its signature is its option
+table and its one-line docstring is its help text. The keyword parameters
+name the options in --help order; a default is the CLI's own only where the
+library function the handler calls has none, and None elsewhere, which
+leaves the library's default to apply.
+
 Options may also come from a JSON config file (--config) whose keys match
-the flag names with dashes replaced by underscores (``fmt`` for --format).
-Each option resolves as flag > config file > library default; the CLI has
-a default of its own only where the library function it calls has none. A
-config value is converted and checked as its flag's argument is: a JSON
-list stands for a comma-separated flag value, true or false for a switch,
-and null leaves the option unset.
+the flag names with dashes replaced by underscores (``fmt`` for --format),
+as the handler's parameters do. Each option resolves as flag > config file
+> default. A config value is converted and checked as its flag's argument
+is: a JSON list stands for a comma-separated flag value, true or false for
+a switch, and null leaves the option unset.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -132,31 +138,27 @@ def _given(**values) -> dict:
 # solve
 # ---------------------------------------------------------------------------
 
-_SOLVE_OPTIONS = dict(n=64, m=16, p=64, rho=0.05, seed=0, tol=None, step_mode="line-search",
-                      mu=1e-4, max_iterations=None, no_projection=None, distribution=None,
-                      fmt="csv", x_file=None, d_file=None, out=None)
-
-
-def _cmd_solve(a: dict, out: str) -> int:
-    if bool(a["x_file"]) != bool(a["d_file"]):
+def _cmd_solve(n=64, m=16, p=64, rho=0.05, seed=0, tol=None, step_mode="line-search", mu=1e-4,
+               max_iterations=None, no_projection=None, distribution=None, fmt="csv",
+               x_file=None, d_file=None, out=None) -> int:
+    """solve one synthetic or file-based instance"""
+    if bool(x_file) != bool(d_file):
         raise UsageError("provide both --x-file and --d-file")
     config = solver.SolverConfig(
-        step_mode=a["step_mode"].replace("-", "_"), mu=a["mu"], rho=a["rho"],
-        apply_C_rho_projection=not a["no_projection"],
-        **_given(objective_tolerance=a["tol"], max_iterations=a["max_iterations"]))
+        step_mode=step_mode.replace("-", "_"), mu=mu, rho=rho,
+        apply_C_rho_projection=not no_projection,
+        **_given(objective_tolerance=tol, max_iterations=max_iterations))
 
-    distribution = _given(distribution=a["distribution"])
-    if a["x_file"]:
+    if x_file:
         inst = experiments.build_instance(
-            fileio.read_vector_file(a["x_file"]), fileio.read_vector_file(a["d_file"]),
-            a["rho"], a["p"], a["seed"], **distribution)
+            fileio.read_vector_file(x_file), fileio.read_vector_file(d_file),
+            rho, p, seed, **_given(distribution=distribution))
     else:
-        inst = experiments.draw_instance(a["n"], a["m"], a["p"], a["rho"], a["seed"],
-                                         **distribution)
+        inst = experiments.draw_instance(n, m, p, rho, seed, **_given(distribution=distribution))
     result = solver.solve(inst.ensemble, inst.y, config, truth=inst.truth)
 
-    write_vec = fileio.write_vector_csv if a["fmt"] == "csv" else fileio.write_array_binary
-    ext = "csv" if a["fmt"] == "csv" else "bcal"
+    write_vec = fileio.write_vector_csv if fmt == "csv" else fileio.write_array_binary
+    ext = "csv" if fmt == "csv" else "bcal"
     write_vec(os.path.join(out, f"x_hat.{ext}"), result.x_hat)
     write_vec(os.path.join(out, f"d_hat.{ext}"), result.d_hat)
     fileio.write_trace_csv(os.path.join(out, "trace.csv"), result.trace)
@@ -176,16 +178,14 @@ def _cmd_solve(a: dict, out: str) -> int:
 # phase-transition
 # ---------------------------------------------------------------------------
 
-_PHASE_OPTIONS = dict.fromkeys("n m p_values rho_values trials zeta_db seed tol "
-                               "max_iterations workers out".split())
-
-
-def _cmd_phase_transition(a: dict, out: str) -> int:
+def _cmd_phase_transition(n=None, m=None, p_values=None, rho_values=None, trials=None,
+                          zeta_db=None, seed=None, tol=None, max_iterations=None,
+                          workers=None, out=None) -> int:
+    """success-probability grid over (p, rho)"""
     spec = experiments.PhaseGridSpec(**_given(
-        n=a["n"], m=a["m"], p_values=a["p_values"], rho_values=a["rho_values"],
-        trials_per_cell=a["trials"], zeta_db=a["zeta_db"], base_seed=a["seed"],
-        tolerance=a["tol"], max_iterations=a["max_iterations"]))
-    result = experiments.run_phase_transition(spec, **_given(workers=a["workers"]))
+        n=n, m=m, p_values=p_values, rho_values=rho_values, trials_per_cell=trials,
+        zeta_db=zeta_db, base_seed=seed, tolerance=tol, max_iterations=max_iterations))
+    result = experiments.run_phase_transition(spec, **_given(workers=workers))
     path, trials_path = os.path.join(out, "phase_grid.csv"), os.path.join(out, "trials.csv")
     fileio.write_grid_csv(path, result)
     fileio.write_trials_csv(trials_path, result)
@@ -207,10 +207,6 @@ def _cmd_phase_transition(a: dict, out: str) -> int:
 # demo-image
 # ---------------------------------------------------------------------------
 
-_DEMO_OPTIONS = dict(input=None, m=64, p=None, rho=0.99, seed=None, tol=None,
-                     max_iterations=None, out=None)
-
-
 def _write_test_scene(path, side=32, seed=707):
     """Write a seeded grayscale test scene: a smooth pattern plus noise."""
     rng = np.random.default_rng(seed)
@@ -220,15 +216,16 @@ def _write_test_scene(path, side=32, seed=707):
     fileio.write_image(path, np.clip(field, 0.0, 1.0)[None, :, :])
 
 
-def _cmd_demo_image(a: dict, out: str) -> int:
-    image_path = a["input"]
-    if image_path is None:
-        image_path = os.path.join(out, "scene.pgm")
-        _write_test_scene(image_path)
-        print(f"demo-image: wrote the test scene {image_path}")
+def _cmd_demo_image(input=None, m=64, p=None, rho=0.99, seed=None, tol=None,
+                    max_iterations=None, out=None) -> int:
+    """blind calibration of an imaging system"""
+    if input is None:
+        input = os.path.join(out, "scene.pgm")
+        _write_test_scene(input)
+        print(f"demo-image: wrote the test scene {input}")
     report = experiments.run_imaging_demo(
-        image_path, m=a["m"], p=a["p"], rho=a["rho"], out_dir=out,
-        **_given(seed=a["seed"], tol=a["tol"], max_iterations=a["max_iterations"]))
+        input, m=m, p=p, rho=rho, out_dir=out,
+        **_given(seed=seed, tol=tol, max_iterations=max_iterations))
     print(f"demo-image: blind error = {report.error_db:.2f} dB, "
           f"LS baseline = {report.ls_error_db:.2f} dB "
           f"({report.iterations} iterations, {report.stop_reason})")
@@ -239,13 +236,12 @@ def _cmd_demo_image(a: dict, out: str) -> int:
 # rate-compare
 # ---------------------------------------------------------------------------
 
-_RATE_OPTIONS = dict.fromkeys("n m p rho seed tol mu max_iterations out".split())
-
-
-def _cmd_rate_compare(a: dict, out: str) -> int:
+def _cmd_rate_compare(n=None, m=None, p=None, rho=None, seed=None, tol=None, mu=None,
+                      max_iterations=None, out=None) -> int:
+    """line-search vs fixed-step run"""
     spec = experiments.RateComparisonSpec(**_given(
-        n=a["n"], m=a["m"], p=a["p"], rho=a["rho"], seed=a["seed"],
-        tolerance=a["tol"], mu=a["mu"], max_iterations=a["max_iterations"]))
+        n=n, m=m, p=p, rho=rho, seed=seed, tolerance=tol, mu=mu,
+        max_iterations=max_iterations))
     result = experiments.run_rate_comparison(spec)
     fileio.write_trace_csv(os.path.join(out, "trace_line_search.csv"),
                            result.line_search.trace)
@@ -267,14 +263,11 @@ def _cmd_rate_compare(a: dict, out: str) -> int:
 # check-concentration
 # ---------------------------------------------------------------------------
 
-_CONC_OPTIONS = dict(n=32, m=16, p=100, theta="ones", trials=20, distribution=model.GAUSSIAN,
-                     seed=None, out=None)
-
-
-def _cmd_check_concentration(a: dict, out: str) -> int:
-    stats = experiments.check_concentration(
-        a["n"], a["m"], a["p"], a["distribution"], a["theta"], a["trials"],
-        **_given(seed=a["seed"]))
+def _cmd_check_concentration(n=32, m=16, p=100, theta="ones", trials=20,
+                             distribution=model.GAUSSIAN, seed=None, out=None) -> int:
+    """weighted covariance deviation"""
+    stats = experiments.check_concentration(n, m, p, distribution, theta, trials,
+                                            **_given(seed=seed))
     fileio.write_report_json(os.path.join(out, "concentration.json"), {
         "max_deviation": stats["max_deviation"],
         "mean_deviation": stats["mean_deviation"],
@@ -288,13 +281,11 @@ def _cmd_check_concentration(a: dict, out: str) -> int:
 # init-study
 # ---------------------------------------------------------------------------
 
-_INIT_OPTIONS = dict.fromkeys("n m p_values trials rho seed out".split())
-
-
-def _cmd_init_study(a: dict, out: str) -> int:
+def _cmd_init_study(n=None, m=None, p_values=None, trials=None, rho=None, seed=None,
+                    out=None) -> int:
+    """initialisation proximity vs mp"""
     result = experiments.run_init_study(**_given(
-        n=a["n"], m=a["m"], p_values=a["p_values"], trials=a["trials"], rho=a["rho"],
-        base_seed=a["seed"]))
+        n=n, m=m, p_values=p_values, trials=trials, rho=rho, base_seed=seed))
     path = os.path.join(out, "init_study.csv")
     fileio.write_csv(path, "mp,mean_relative_error",
                      ((str(mp), repr(err))
@@ -307,18 +298,15 @@ def _cmd_init_study(a: dict, out: str) -> int:
 # parser assembly and dispatch
 # ---------------------------------------------------------------------------
 
-# subcommand -> (handler, options, help); the options name its flags and hold
-# their defaults, None where the library function called has its own
-_COMMANDS = {
-    "solve": (_cmd_solve, _SOLVE_OPTIONS, "solve one synthetic or file-based instance"),
-    "phase-transition": (_cmd_phase_transition, _PHASE_OPTIONS,
-                         "success-probability grid over (p, rho)"),
-    "demo-image": (_cmd_demo_image, _DEMO_OPTIONS, "blind calibration of an imaging system"),
-    "rate-compare": (_cmd_rate_compare, _RATE_OPTIONS, "line-search vs fixed-step run"),
-    "check-concentration": (_cmd_check_concentration, _CONC_OPTIONS,
-                            "weighted covariance deviation"),
-    "init-study": (_cmd_init_study, _INIT_OPTIONS, "initialisation proximity vs mp"),
-}
+# subcommand -> handler; the subcommand is the handler's name after _cmd_, dashed
+_COMMANDS = {handler.__name__[len("_cmd_"):].replace("_", "-"): handler for handler in (
+    _cmd_solve, _cmd_phase_transition, _cmd_demo_image, _cmd_rate_compare,
+    _cmd_check_concentration, _cmd_init_study)}
+
+
+def _options(handler) -> dict:
+    """A handler's options in --help order: its keyword parameters and their defaults."""
+    return {key: param.default for key, param in inspect.signature(handler).parameters.items()}
 
 
 def build_parser() -> _Parser:
@@ -326,9 +314,9 @@ def build_parser() -> _Parser:
                      description="Blind calibration of sensor gains from "
                                  "randomized linear snapshots")
     subs = parser.add_subparsers(dest="command")
-    for command, (_, options, help_text) in _COMMANDS.items():
-        sub = subs.add_parser(command, help=help_text)
-        for key in options:
+    for command, handler in _COMMANDS.items():
+        sub = subs.add_parser(command, help=handler.__doc__)
+        for key in _options(handler):
             kwargs = dict(_FLAGS[key])
             sub.add_argument(kwargs.pop("flag", "--" + key.replace("_", "-")), dest=key,
                              **kwargs)
@@ -342,12 +330,11 @@ def dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (see --help)")
-        handler, options, _ = _COMMANDS[args.command]
-        values = vars(args)
-        merged = _merge_config(values, values.get("config"), options)
-        out = merged.pop("out") or os.environ.get("BLINDCAL_OUTPUT_DIR") or "."
-        os.makedirs(out, exist_ok=True)
-        return handler(merged, out)
+        handler = _COMMANDS[args.command]
+        merged = _merge_config(vars(args), args.config, _options(handler))
+        merged["out"] = merged["out"] or os.environ.get("BLINDCAL_OUTPUT_DIR") or "."
+        os.makedirs(merged["out"], exist_ok=True)
+        return handler(**merged)
     except (UsageError, ParameterError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

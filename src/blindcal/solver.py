@@ -15,7 +15,9 @@ tolerance.
 
 The tolerance is ``objective_tolerance`` if given, else the scale-free
 ``RELATIVE_TOLERANCE * ||y||^2 / (2mp)`` (f at a zero signal), computed once
-per solve; all-zero data (f0 = 0) has converged at the start under either.
+per solve; all-zero data (f0 = 0) has converged at the start under either
+and in either step mode, as the fixed step pair is derived only for a solve
+that steps.
 On an underdetermined ensemble (m*p < n + m - 1,
 ``SensingEnsemble.underdetermined``) data that is fit does not identify x
 and d, so a stop that would be CONVERGED is UNDERDETERMINED; budget and
@@ -352,8 +354,9 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
     if tolerance is None:  # relative to f at a zero signal
         tolerance = RELATIVE_TOLERANCE * float(np.vdot(y, y)) / (2.0 * ensemble.m * ensemble.p)
 
+    converged = f0 < tolerance or f0 == 0.0
     fixed_steps = None
-    if config.step_mode == FIXED:
+    if config.step_mode == FIXED and not converged:
         norm0 = float(xi0 @ xi0)
         if norm0 == 0.0:
             raise ParameterError("zero initial signal estimate; cannot scale gain step")
@@ -367,7 +370,7 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
             trace.record(s, time.perf_counter() - t0, truth)
         record(state)
 
-    stop = CONVERGED if f0 < tolerance or f0 == 0.0 else _descend(
+    stop = CONVERGED if converged else _descend(
         state, config, ensemble, y, fixed_steps, tolerance, config.max_iterations, record)
     if stop == CONVERGED and ensemble.underdetermined:
         stop = UNDERDETERMINED

@@ -288,6 +288,13 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", ["missing.json", "."], ids=["missing", "directory"])
+def test_unreadable_config_is_usage_error(tmp_path, capsys, config):
+    assert run(["solve", "--config", str(tmp_path / config),
+                "--out", str(tmp_path / "out")]) == 1
+    assert "cannot read config" in capsys.readouterr().err
+
+
 def test_unknown_config_key_named(tmp_path, capsys):
     cfg_path = tmp_path / "grid.json"
     cfg_path.write_text(json.dumps({"n": 12, "bogus_key": 5}))

@@ -28,6 +28,8 @@ BAD = {
     "rho": (ParameterError, (1.0, -0.1, NAN)),
     "positive": (ParameterError, (0.0, INF, NAN)),
     "negative": (ParameterError, (0.0, -INF, NAN)),
+    "nonnegative": (ParameterError, (-0.1, -INF, NAN)),
+    "step_mode": (ParameterError, ("sideways",)),
 }
 
 
@@ -57,10 +59,11 @@ ENTRY_POINTS = [
     ("project_C_rho", lambda tmp, **k: project_C_rho(**k),
      dict(gamma=np.ones(3), rho=0.3), dict(rho="rho")),
     ("NeighbourhoodSpec", lambda tmp, **k: NeighbourhoodSpec(**k),
-     dict(kappa=0.1, rho=0.3, x_star_norm=1.0), dict(rho="rho")),
+     dict(kappa=0.1, rho=0.3, x_star_norm=1.0),
+     dict(rho="rho", kappa="nonnegative", x_star_norm="nonnegative")),
     ("SolverConfig", lambda tmp, **k: SolverConfig(**k),
      dict(step_mode=FIXED, mu=1e-3, rho=0.3, objective_tolerance=1e-7, max_iterations=10),
-     dict(mu="positive", rho="rho", objective_tolerance="positive",
+     dict(step_mode="step_mode", mu="positive", rho="rho", objective_tolerance="positive",
           max_iterations="count")),
     ("PhaseGridSpec", lambda tmp, **k: PhaseGridSpec(**k),
      dict(_SPEC, zeta_db=-70.0), dict(n="size", m="size", p_values="size list",

@@ -38,6 +38,10 @@ def test_smooth_signal_range():
     assert x.min() == 0.0 and x.max() == 1.0  # rescaled to span [0, 1]
 
 
+def test_smooth_signal_of_one_entry_is_mid_range():
+    np.testing.assert_array_equal(draw_smooth_signal(1, 3), [0.5])
+
+
 def test_instance_reproducible():
     a = draw_instance(8, 4, 2, 0.3, seed=9)
     b = draw_instance(8, 4, 2, 0.3, seed=9)
@@ -194,6 +198,12 @@ def test_baseline_suffers_model_error():
     assert np.linalg.norm(x_ls - xs) / np.linalg.norm(xs) >= 0.1
 
 
+def test_baseline_of_zero_data_is_zero():
+    ensemble = generate_ensemble(8, 4, 4, "gaussian", 19)
+    x_ls = least_squares_baseline(ensemble, np.zeros((4, 4)))
+    np.testing.assert_array_equal(x_ls, np.zeros(8))
+
+
 def test_baseline_rejects_underdetermined():
     ensemble = generate_ensemble(16, 2, 2, "gaussian", 18)
     y = np.zeros((2, 2))
@@ -255,6 +265,11 @@ def test_concentration_zero_weights():
 def test_concentration_rejects_zero_trials():
     with pytest.raises(ParameterError):
         check_concentration(8, 4, 3, "gaussian", np.ones(4), trials=0)
+
+
+def test_concentration_gates_the_dense_eigen_computation():
+    with pytest.raises(DimensionError, match="n <= 512"):
+        check_concentration(513, 4, 3, "gaussian", "ones", trials=1)
 
 
 def test_concentration_named_weights():

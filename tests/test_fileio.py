@@ -250,6 +250,7 @@ _GRID_HEADER = b"p,rho,trials,successes,probability\n"
     ("read_matrix_csv", b"# blindcal matrix 1 x\n1\n"),
     ("read_matrix_csv", b"# blindcal matrix 1 2\n1,abc\n"),
     ("read_matrix_csv", b"# blindcal matrix 2 2\n1,2\n3\n"),
+    ("read_matrix_csv", b"# blindcal matrix 2 2\n1,2\n"),
     ("read_matrix_csv", b"# blindcal matrix 1 1\n\xff\n"),
     ("read_image", b"P5\nabc 2\n255\n" + bytes(4)),
     ("read_image", b"P5\n-2 -2\n255\n" + bytes(4)),
@@ -260,7 +261,7 @@ _GRID_HEADER = b"p,rho,trials,successes,probability\n"
     ("read_grid_csv", _GRID_HEADER + b"4,0.1,ten,5,0.5\n"),
 ], ids=["binary-truncated-header", "binary-truncated-dims", "binary-version",
         "binary-payload-size", "csv-header-dimension", "csv-cell", "csv-ragged",
-        "csv-not-ascii", "image-width", "image-negative-size", "image-empty", "trace-cell",
+        "csv-row-count", "csv-not-ascii", "image-width", "image-negative-size", "image-empty", "trace-cell",
         "trace-iteration", "grid-row-length", "grid-cell"])
 def test_malformed_content_is_format_error(tmp_path, reader, content):
     path = tmp_path / "input"

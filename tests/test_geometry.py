@@ -510,6 +510,13 @@ def test_gain_outside_box_excluded():
     assert not in_neighbourhood((np.zeros(t.n), gamma), spec, t)
 
 
+def test_gain_off_the_simplex_excluded():
+    t = _truth(rho=0.3)
+    gamma = np.full(t.m, 1.01)  # inside the box, but sum(gamma) = 1.01 m
+    spec = NeighbourhoodSpec(kappa=10.0, rho=0.3, x_star_norm=float(np.linalg.norm(t.x_star)))
+    assert not in_neighbourhood((t.x_star, gamma), spec, t)
+
+
 def test_boundary_point_included():
     t = _truth()
     norm = float(np.linalg.norm(t.x_star))

@@ -184,6 +184,13 @@ def test_lazy_path_matches_stacked(monkeypatch):
     np.testing.assert_allclose(sense(lazy, x, d), y_cached, rtol=1e-13)
 
 
+@pytest.mark.parametrize("gain", [0.0, -0.5])
+def test_ground_truth_rejects_a_gain_not_positive(gain):
+    d = np.array([2.0 - gain, gain, 1.0, 1.0])  # sums to m
+    with pytest.raises(ParameterError, match="strictly positive"):
+        GroundTruth(x=np.ones(4), d=d, rho=0.99)
+
+
 def test_ground_truth_validation():
     x = np.ones(4)
     d = np.array([1.1, 0.9, 1.05, 0.95])

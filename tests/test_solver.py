@@ -272,12 +272,14 @@ def test_underdetermined_fit_stops_underdetermined():
     assert budget.stop_reason == MAX_ITERATIONS
 
 
+@pytest.mark.parametrize("step_mode", [LINE_SEARCH, FIXED])
 @pytest.mark.parametrize("tolerance", [None, 1e-7])
-def test_zero_data_converges_at_the_start(tolerance):
+def test_zero_data_converges_at_the_start(tolerance, step_mode):
     # zero data makes both f0 and the relative bound 0; f0 = 0 has converged
     ensemble = generate_ensemble(8, 4, 8, "gaussian", 1)
     result = solve(ensemble, np.zeros((8, 4)),
-                   SolverConfig(rho=0.1, objective_tolerance=tolerance))
+                   SolverConfig(rho=0.1, objective_tolerance=tolerance, step_mode=step_mode,
+                                mu=1e-3))
     assert result.stop_reason == CONVERGED
     assert result.iterations == 0 and result.objective == 0.0
 
