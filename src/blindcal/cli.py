@@ -243,17 +243,14 @@ def _cmd_rate_compare(n=None, m=None, p=None, rho=None, seed=None, tol=None, mu=
         n=n, m=m, p=p, rho=rho, seed=seed, tolerance=tol, mu=mu,
         max_iterations=max_iterations))
     result = experiments.run_rate_comparison(spec)
-    fileio.write_trace_csv(os.path.join(out, "trace_line_search.csv"),
-                           result.line_search.trace)
-    fileio.write_trace_csv(os.path.join(out, "trace_fixed.csv"), result.fixed.trace)
-    fileio.write_report_json(os.path.join(out, "rate_compare.json"), {
-        "line_search": {"iterations": result.line_search.iterations,
-                        "stop_reason": result.line_search.stop_reason,
-                        "error_db": result.line_search_error_db},
-        "fixed": {"iterations": result.fixed.iterations,
-                  "stop_reason": result.fixed.stop_reason,
-                  "error_db": result.fixed_error_db},
-    })
+    report = {}
+    for mode, run, error_db in ((solver.LINE_SEARCH, result.line_search,
+                                 result.line_search_error_db),
+                                (solver.FIXED, result.fixed, result.fixed_error_db)):
+        fileio.write_trace_csv(os.path.join(out, f"trace_{mode}.csv"), run.trace)
+        report[mode] = {"iterations": run.iterations, "stop_reason": run.stop_reason,
+                        "error_db": error_db}
+    fileio.write_report_json(os.path.join(out, "rate_compare.json"), report)
     print(f"rate-compare: line search {result.line_search.iterations} iterations "
           f"vs fixed {result.fixed.iterations} iterations")
     return 0

@@ -17,12 +17,12 @@ import numpy as np
 
 from . import fileio
 from .errors import (BlindcalError, DimensionError, ParameterError, SingularityError,
-                     check_array, check_count, check_positive, check_rho, check_size)
+                     check_array, check_count, check_rho, check_size)
 from .geometry import draw_gain_perturbation
 from .model import GroundTruth, SensingEnsemble, sense
 from .objective import adjoint, gradients
 from .seeding import derive_seed
-from .solver import CONVERGED, FIXED, SolveResult, SolverConfig, initialise, solve
+from .solver import CONVERGED, FIXED, LINE_SEARCH, SolveResult, SolverConfig, initialise, solve
 
 
 def to_db(ratio: float) -> float:
@@ -135,7 +135,8 @@ class PhaseGridSpec:
         for rho in self.rho_values:
             check_rho(rho, "rho value")
         check_count(self.trials_per_cell, "trials_per_cell")
-        check_positive(-self.zeta_db, "-zeta_db")  # zeta_db finite and negative
+        if not -np.inf < self.zeta_db < 0.0:  # nan fails too
+            raise ParameterError(f"zeta_db must be finite and negative, got {self.zeta_db!r}")
 
 
 @dataclass
@@ -471,16 +472,13 @@ def run_rate_comparison(spec: RateComparisonSpec) -> RateComparisonResult:
     mu_xi = mu and mu_gamma = mu * m / ||xi_0||^2.
     """
     inst = draw_imaging_instance(spec.n, spec.m, spec.p, spec.rho, spec.seed)
-    base = dict(rho=spec.rho, objective_tolerance=spec.tolerance,
-                max_iterations=spec.max_iterations, record_trace=True)
-    ls_config = SolverConfig(**base)
-    fx_config = SolverConfig(step_mode=FIXED, mu=spec.mu, **base)
-    ls = solve(inst.ensemble, inst.y, ls_config, truth=inst.truth)
-    fx = solve(inst.ensemble, inst.y, fx_config, truth=inst.truth)
+    configs = [SolverConfig(step_mode=mode, mu=spec.mu if mode == FIXED else None,
+                            rho=spec.rho, objective_tolerance=spec.tolerance,
+                            max_iterations=spec.max_iterations)
+               for mode in (LINE_SEARCH, FIXED)]  # both checked before the first solve
+    runs = [solve(inst.ensemble, inst.y, config, truth=inst.truth) for config in configs]
     return RateComparisonResult(
-        line_search=ls, fixed=fx,
-        line_search_error_db=to_db(recovery_error(ls.x_hat, ls.d_hat, inst.truth)),
-        fixed_error_db=to_db(recovery_error(fx.x_hat, fx.d_hat, inst.truth)))
+        *runs, *(to_db(recovery_error(run.x_hat, run.d_hat, inst.truth)) for run in runs))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_rho, check_size
+from .errors import DimensionError, ParameterError, check_rho, check_size
 from .model import GroundTruth, as_point
 from .seeding import derive_seed
 
@@ -29,6 +29,8 @@ def project_zero_sum(v) -> np.ndarray:
     self-adjoint, with the constant vectors as its kernel.
     """
     v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or not v.size:
+        raise DimensionError(f"v must be a non-empty vector, got shape {v.shape}")
     return v - v.mean()
 
 
@@ -69,6 +71,8 @@ def project_C_rho(gamma, rho: float) -> np.ndarray:
     """
     check_rho(rho)
     gamma = np.asarray(gamma, dtype=float)
+    if gamma.ndim != 1 or not gamma.size:
+        raise DimensionError(f"gamma must be a non-empty vector, got shape {gamma.shape}")
     if rho == 0.0:
         return np.ones(gamma.size)
     z = gamma - 1.0

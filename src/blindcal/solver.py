@@ -39,16 +39,15 @@ start's adjoint and evaluation, a k-iteration solve applies the operator
 exactly k + 2 times. A zero direction still costs its pass; its step is 0.
 
 Allocation and floating-point state: the descent loop, ``_descend``, is
-built once per solve and run for one step by ``iterate``. It allocates its
-work arrays once and enters ``np.errstate(over="ignore", invalid="ignore")``
-once. The iterate, its evaluation and the steps are its local variables;
-the ``SolverState`` and its ``GradientPair`` are written only for a trace
-record and at the stop. A cached iteration is ``gradients``' own two helpers
-on its one block; a lazy one adds the sweep's recurrence. An
-iteration allocates vectors of length n or m only: the new iterate, the
-projection's temporaries, A^T (gamma * r) and the gradients. Overflow, and
-the inf - inf it leads to, is the divergence signal: a non-finite iterate
-or objective raises DivergenceError.
+built once per solve and run for one step by ``iterate``. It checks y,
+allocates its work arrays and enters ``np.errstate(over="ignore",
+invalid="ignore")`` once. The iterate, its evaluation and the steps are its
+local variables, which a trace record takes as values; it writes no state
+it is handed and builds the returned ``SolverState`` and ``GradientPair``
+once, at the stop. An iteration allocates vectors of length n or m only:
+the new iterate, the projection's temporaries, A^T (gamma * r) and the
+gradients. Overflow, and the inf - inf it leads to, is the divergence
+signal: a non-finite iterate or objective raises DivergenceError.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ import math
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,7 +131,8 @@ class SolverState:
 
 @dataclass
 class SolverTrace:
-    """Per-iteration history; delta columns stay None without ground truth. With
+    """Per-iteration history, one row per ``record`` of an iterate's k, f,
+    steps and (xi, gamma); delta columns stay None without ground truth. With
     it, each recorded iterate is kept (no step writes into one) and the
     distances are filled whenever the pending iterates hold TRACE_CHUNK_CELLS
     cells, in one stacked call each, and complete when ``solve`` returns; only
@@ -149,17 +149,18 @@ class SolverTrace:
     def __post_init__(self):
         self._pending = []  # recorded (xi, gamma) whose distances are not filled yet
 
-    def record(self, state: SolverState, elapsed: float, truth: GroundTruth | None):
-        self.iteration.append(state.iteration)
-        self.objective.append(state.objective)
-        self.mu_xi.append(state.mu_xi)
-        self.mu_gamma.append(state.mu_gamma)
+    def record(self, k: int, f: float, mu_xi: float, mu_gamma: float, xi: np.ndarray,
+               gamma: np.ndarray, elapsed: float, truth: GroundTruth | None):
+        self.iteration.append(k)
+        self.objective.append(f)
+        self.mu_xi.append(mu_xi)
+        self.mu_gamma.append(mu_gamma)
         self.delta.append(None)
         self.delta_F.append(None)
         self.elapsed_seconds.append(elapsed)
         if truth is not None:
-            self._pending.append((state.xi, state.gamma))
-            cells = len(self._pending) * (state.xi.size + state.gamma.size)
+            self._pending.append((xi, gamma))
+            cells = len(self._pending) * (xi.size + gamma.size)
             if cells >= TRACE_CHUNK_CELLS:
                 self.fill_distances(truth)
 
@@ -214,12 +215,13 @@ def _finite(v: np.ndarray, zeros: np.ndarray, iteration: int) -> np.ndarray:
 
 
 def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
-             tolerance: float, budget: int, record=None) -> str:
-    """The descent loop of ``iterate`` and ``solve``: from ``state``, which
-    carries its evaluation, step until the iteration count reaches
-    ``budget``, f stagnates or the objective stepped from is below
-    ``tolerance``; write the state and its evaluation and return the stop
-    reason. ``record(state)``, if given, takes each thinned trace record.
+             tolerance: float, budget: int, record=None) -> tuple[str, SolverState]:
+    """The descent loop of ``iterate`` and ``solve``: check ``y``, evaluate
+    ``state`` if it carries no evaluation and step from it until the iteration
+    count reaches ``budget``, f stagnates or the objective stepped from is
+    below ``tolerance``; return the stop reason and a new state with its
+    steps and evaluation, writing none into ``state``. ``record(k, f, mu_xi,
+    mu_gamma, xi, gamma)``, if given, takes each thinned trace row.
 
     Each step takes the gain step from the carried A xi and projects it, and
     then one pass over ``blocks()``, which in line search also gives A g for
@@ -230,7 +232,9 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
     the recurrence differs: A xi' = A xi - mu_xi A g and
     A^T (gamma' * r') = bv - mu_xi bu. Both end in one ``residual_terms``.
     """
-    grads, m, p = state.evaluation, ensemble.m, ensemble.p
+    m, p = ensemble.m, ensemble.p
+    y = check_array(y, (p, m), "snapshots", finite=True)
+    grads = state.evaluation or gradients(ensemble, y, (state.xi, state.gamma))
     mp, rho = m * p, config.rho
     line_search, project = config.step_mode == LINE_SEARCH, config.apply_C_rho_projection
     xi, gamma, k, f = state.xi, state.gamma, state.iteration, state.objective
@@ -287,20 +291,17 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
                     stop = CONVERGED
                 elif record is None or (k > TRACE_DENSE_LIMIT and k % 10):
                     continue
-            state.xi, state.gamma, state.iteration, state.objective = xi, gamma, k, f
-            state.mu_xi, state.mu_gamma = mu_xi, mu_gamma
             if stop is not None:
-                grads.grad_xi, grads.grad_gamma, grads.grad_gamma_projected = g, grad_gamma, h
-                grads.objective, grads.ax = f, ax
-                return stop
-            record(state)
+                return stop, SolverState(xi, gamma, k, f, mu_xi, mu_gamma,
+                                         GradientPair(g, grad_gamma, h, f, ax))
+            record(k, f, mu_xi, mu_gamma, xi, gamma)
 
 
 def iterate(state: SolverState, config: SolverConfig, ensemble, y,
             fixed_steps=None) -> SolverState:
-    """Apply one descent update, the loop of ``solve`` run for one step on a
-    copy of ``state``; the new state carries the steps taken and its own
-    evaluation, and ``state`` is left unchanged.
+    """Apply one descent update, the loop of ``solve`` run for one step, and
+    return a new state that carries the steps taken and its own evaluation;
+    ``state`` is never written, and ``y`` is checked on every step.
 
     Line-search mode takes the exact block steps; fixed mode needs the step
     pair (mu_xi, mu_gamma) in ``fixed_steps``.
@@ -309,10 +310,7 @@ def iterate(state: SolverState, config: SolverConfig, ensemble, y,
         raise ParameterError(
             "fixed step mode needs explicit (mu_xi, mu_gamma); "
             "solve() derives mu_gamma = mu * m / ||xi_0||^2")
-    grads = state.evaluation or gradients(ensemble, y, (state.xi, state.gamma))
-    state = replace(state, evaluation=replace(grads))
-    _descend(state, config, ensemble, y, fixed_steps, -math.inf, state.iteration + 1)
-    return state
+    return _descend(state, config, ensemble, y, fixed_steps, -math.inf, state.iteration + 1)[1]
 
 
 @dataclass
@@ -366,16 +364,17 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
     trace = SolverTrace()
     record = None
     if config.record_trace:
-        def record(s):
-            trace.record(s, time.perf_counter() - t0, truth)
-        record(state)
+        def record(*row):
+            trace.record(*row, time.perf_counter() - t0, truth)
+        record(0, f0, 0.0, 0.0, xi0, gamma0)
 
-    stop = CONVERGED if converged else _descend(
+    stop, state = (CONVERGED, state) if converged else _descend(
         state, config, ensemble, y, fixed_steps, tolerance, config.max_iterations, record)
     if stop == CONVERGED and ensemble.underdetermined:
         stop = UNDERDETERMINED
     if record is not None and trace.iteration[-1] != state.iteration:
-        record(state)
+        record(state.iteration, state.objective, state.mu_xi, state.mu_gamma, state.xi,
+               state.gamma)
     trace.fill_distances(truth)
     return SolveResult(x_hat=state.xi, d_hat=state.gamma, trace=trace,
                        stop_reason=stop, iterations=state.iteration,

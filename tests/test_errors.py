@@ -15,7 +15,8 @@ from blindcal.experiments import (PhaseGridSpec, RateComparisonSpec, check_conce
 from blindcal.geometry import NeighbourhoodSpec, draw_gain_perturbation, project_C_rho
 from blindcal.model import GroundTruth, SensingEnsemble, generate_ensemble
 from blindcal.seeding import derive_seed
-from blindcal.solver import FIXED, SolverConfig
+from blindcal.objective import gradients
+from blindcal.solver import FIXED, SolverConfig, SolverState, initialise, iterate, solve
 
 NAN, INF = float("nan"), float("inf")
 
@@ -140,16 +141,34 @@ def test_checkers_raise_parameter_error_on_non_numbers(call):
         call()
 
 
+def _carried_start(inst):
+    """The start state of a solve of inst, carrying its evaluation."""
+    xi0, gamma0 = initialise(inst.ensemble, inst.y)
+    grads = gradients(inst.ensemble, inst.y, (xi0, gamma0))
+    return SolverState(xi0, gamma0, 0, grads.objective, evaluation=grads)
+
+
 @pytest.mark.parametrize("bad", [NAN, INF, -INF], ids=["nan", "+inf", "-inf"])
-@pytest.mark.parametrize("entry", ["solve", "initialise", "least_squares_baseline"])
+@pytest.mark.parametrize("entry", ["solve", "initialise", "least_squares_baseline", "iterate"])
 def test_non_finite_snapshot_is_parameter_error(entry, bad):
     from blindcal.experiments import least_squares_baseline
-    from blindcal.solver import initialise, solve
     inst = draw_instance(8, 4, 6, 0.3, seed=5)
     y = inst.y.copy()
     y[2, 1] = bad
     calls = {"solve": lambda: solve(inst.ensemble, y, SolverConfig(rho=0.3)),
              "initialise": lambda: initialise(inst.ensemble, y),
-             "least_squares_baseline": lambda: least_squares_baseline(inst.ensemble, y)}
+             "least_squares_baseline": lambda: least_squares_baseline(inst.ensemble, y),
+             "iterate": lambda: iterate(_carried_start(inst), SolverConfig(rho=0.3),
+                                        inst.ensemble, y)}
     with pytest.raises(ParameterError, match="snapshots"):
         calls[entry]()
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "lazy"])
+def test_iterate_from_a_carried_state_checks_the_snapshot_shape(monkeypatch, cached):
+    if not cached:
+        monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 0)
+    inst = draw_instance(16, 4, 8, 0.3, seed=1)
+    assert (inst.ensemble.stacked() is not None) == cached
+    with pytest.raises(DimensionError, match="snapshots"):
+        iterate(_carried_start(inst), SolverConfig(rho=0.3), inst.ensemble, inst.y[0])

@@ -128,7 +128,8 @@ def test_lazy_workers_after_a_lazy_sweep_in_the_parent_match_serial(monkeypatch)
     (dict(zeta_db=float("-inf")), ParameterError),
 ])
 def test_grid_spec_rejects_bad_values(bad, error):
-    with pytest.raises(error):
+    match = "zeta_db must be finite and negative" if "zeta_db" in bad else None
+    with pytest.raises(error, match=match):
         PhaseGridSpec(**bad)
 
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis.extra.numpy import arrays
 
 from blindcal import geometry
-from blindcal.errors import ParameterError
+from blindcal.errors import DimensionError, ParameterError
 from blindcal.geometry import (NeighbourhoodSpec, _breakpoint_projection, delta,
                                delta_F, draw_gain_perturbation, in_neighbourhood,
                                project_C_rho, project_zero_sum)
@@ -116,6 +116,16 @@ def test_projection_rejects_bad_rho():
         project_C_rho(np.ones(3), 1.0)
     with pytest.raises(ParameterError):
         project_C_rho(np.ones(3), -0.1)
+
+
+@pytest.mark.parametrize("gamma", [np.empty(0), np.ones((2, 3)), np.float64(1.0)],
+                         ids=["empty", "2d", "scalar"])
+@pytest.mark.parametrize("project", [lambda g: project_C_rho(g, 0.0),
+                                     lambda g: project_C_rho(g, 0.3), project_zero_sum],
+                         ids=["C_rho-0", "C_rho-0.3", "zero_sum"])
+def test_projections_take_a_non_empty_vector(project, gamma):
+    with pytest.raises(DimensionError, match="non-empty vector"):
+        project(gamma)
 
 
 @given(st.integers(min_value=0, max_value=10_000),
