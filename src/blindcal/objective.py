@@ -19,12 +19,12 @@ E f = (1 / 2m) || xi gamma^T - x* d*^T ||_F^2.
 also returns f and the image A xi: each block of rows gives its part of
 A xi, of the residual r and of A^T (gamma * r) (``residual_block``), so a
 lazy ensemble regenerates each A_l once per evaluation; ``residual_terms``
-then forms the gradients and f on whole arrays. Both of the solver's step
-shapes use the same two helpers. The summation order follows the
-blocks: one BLAS gemv on the cached (p*m, n) stack, ascending snapshot order
-on a lazy ensemble. For one ensemble, BLAS library and thread count, every
-result repeats bit for bit; between the cached and the lazy path, or between
-BLAS builds, results may differ in the last bits.
+then forms the gradients and f on whole arrays. The solver's lazy step uses
+both helpers, its cached step only ``residual_terms``. The summation order
+follows the blocks: one BLAS gemv on the cached (p*m, n) stack, ascending
+snapshot order on a lazy ensemble. For one ensemble, BLAS library and thread
+count, every result repeats bit for bit; between the cached and the lazy
+path, or between BLAS builds, results may differ in the last bits.
 """
 
 from __future__ import annotations

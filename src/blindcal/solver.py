@@ -32,11 +32,10 @@ Operator cost: every iterate is evaluated once (f, A xi and both
 gradients) and the state carries that evaluation into the next step. The
 gain step needs only the carried A xi; one pass over the operator (one
 regeneration pass on a lazy ensemble) then gives A g and the new point's
-evaluation, in either step mode. A cached pass is ``gradients``' own
-``residual_block`` and ``residual_terms`` on its one block; a lazy sweep
-differs only in its recurrence for A xi' and A^T (gamma' * r'). With the
-start's adjoint and evaluation, a k-iteration solve applies the operator
-exactly k + 2 times. A zero direction still costs its pass; its step is 0.
+evaluation, in either step mode, with A xi' = A xi - mu_xi A g by recurrence:
+a cached pass reads the stack twice, for A g and one adjoint A^T (gamma' * r').
+A k-iteration solve, with the start's adjoint and evaluation, applies the
+operator exactly k + 2 times. A zero direction still costs its pass (step 0).
 
 Allocation and floating-point state: the descent loop, ``_descend``, is
 built once per solve and run for one step by ``iterate``. It checks y,
@@ -116,8 +115,8 @@ class SolverState:
     """An iterate, its objective, and the steps that produced it (0 at the start).
 
     ``evaluation`` is ``gradients`` at (xi, gamma) for the ensemble and data
-    the state is iterated with; ``iterate`` carries it into the next step.
-    Left None, it is computed when needed.
+    the state is iterated with, to rounding once a step carried A xi by
+    recurrence; ``iterate`` carries it on. Left None, it is computed when needed.
     """
 
     xi: np.ndarray
@@ -223,22 +222,25 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
     steps and evaluation, writing none into ``state``. ``record(k, f, mu_xi,
     mu_gamma, xi, gamma)``, if given, takes each thinned trace row.
 
-    Each step takes the gain step from the carried A xi and projects it, and
-    then one pass over ``blocks()``, which in line search also gives A g for
-    mu_xi; xi' = xi - mu_xi g in either mode. A cached ensemble's one block
-    gives the new point as ``gradients`` does, ``residual_block`` at xi'. On
-    a lazy ensemble every block gives A_b g, a fresh A_b xi and the partials
-    bv = A_b^T (gamma' * r_b(xi)), bu = A_b^T (gamma'^2 * A_b g), and only
-    the recurrence differs: A xi' = A xi - mu_xi A g and
-    A^T (gamma' * r') = bv - mu_xi bu. Both end in one ``residual_terms``.
+    The shapes of xi, gamma and the carried A xi, g and P grad_gamma are
+    checked once. Each step takes the gain step from the carried A xi and
+    projects it; one pass over ``blocks()`` gives A g, for mu_xi in line
+    search and for A xi' = A xi - mu_xi A g in either mode, and
+    xi' = xi - mu_xi g. A cached ensemble's one block is read twice, for A g
+    and for one adjoint A^T (gamma' * r'). On a lazy one every block gives
+    A_b g, a fresh A_b xi (the A xi of the recurrence) and the partials
+    bv = A_b^T (gamma' * r_b(xi)), bu = A_b^T (gamma'^2 * A_b g), so
+    A^T (gamma' * r') = bv - mu_xi bu.
     """
     m, p = ensemble.m, ensemble.p
     y = check_array(y, (p, m), "snapshots", finite=True)
-    grads = state.evaluation or gradients(ensemble, y, (state.xi, state.gamma))
-    mp, rho = m * p, config.rho
+    xi, gamma = check_array(state.xi, (ensemble.n,), "xi"), check_array(state.gamma, (m,), "gamma")
+    grads = state.evaluation or gradients(ensemble, y, (xi, gamma))
+    mp, rho, k, f = m * p, config.rho, state.iteration, state.objective
     line_search, project = config.step_mode == LINE_SEARCH, config.apply_C_rho_projection
-    xi, gamma, k, f = state.xi, state.gamma, state.iteration, state.objective
-    g, grad_gamma, h, ax = grads.grad_xi, grads.grad_gamma, grads.grad_gamma_projected, grads.ax
+    g, h = (check_array(grads.grad_xi, (ensemble.n,), "carried grad_xi"),
+            check_array(grads.grad_gamma_projected, (m,), "carried P grad_gamma"))
+    grad_gamma, ax = grads.grad_gamma, check_array(grads.ax, (p, m), "carried A xi")
     mu_xi, mu_gamma = fixed_steps or (state.mu_xi, state.mu_gamma)
     # the first step reads the carried A xi; the evaluations it makes go to work_ax
     ag, work_ax, r, image = (np.empty((p, m)) for _ in range(4))
@@ -263,8 +265,7 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
                     gamma_next = geometry.project_C_rho(gamma_next, rho)
                 if cached:
                     (_, rows), = ensemble.blocks()
-                    if line_search:
-                        rows.dot(g, ag_flat)
+                    rows.dot(g, ag_flat)
                 else:
                     bv = bu = 0.0
                     gamma_sq = gamma_next * gamma_next
@@ -273,15 +274,14 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
                         bv += residual_block(rows, xi, gamma_next, y[sl], work_ax[sl], r[sl],
                                              image[sl])
                         bu += np.multiply(gamma_sq, ag[sl], image[sl]).reshape(-1).dot(rows)
+                    ax = work_ax  # the sweep's fresh A xi
                 if line_search:
                     mu_xi = _step(g, np.multiply(gamma, ag, image), mp)
                 xi_next = _finite(xi - mu_xi * g, zeros_n, k)
-                if cached:
-                    back = residual_block(rows, xi_next, gamma_next, y, work_ax, r, image)
-                else:
-                    work_ax -= np.multiply(mu_xi, ag, ag)
-                    np.subtract(np.multiply(gamma_next, work_ax, r), y, r)
-                    back = bv - mu_xi * bu
+                np.subtract(ax, np.multiply(mu_xi, ag, ag), work_ax)
+                np.subtract(np.multiply(gamma_next, work_ax, r), y, r)
+                back = (np.multiply(gamma_next, r, image).reshape(-1).dot(rows) if cached
+                        else bv - mu_xi * bu)
                 g, grad_gamma, h, f = residual_terms(work_ax, r, back, image)
                 if not math.isfinite(f):
                     raise DivergenceError(f"objective became non-finite at iteration {k}", k)

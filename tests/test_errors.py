@@ -172,3 +172,19 @@ def test_iterate_from_a_carried_state_checks_the_snapshot_shape(monkeypatch, cac
     assert (inst.ensemble.stacked() is not None) == cached
     with pytest.raises(DimensionError, match="snapshots"):
         iterate(_carried_start(inst), SolverConfig(rho=0.3), inst.ensemble, inst.y[0])
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "lazy"])
+@pytest.mark.parametrize("field, name", [pytest.param(*pair, id=pair[0]) for pair in (
+    ("xi", "xi"), ("gamma", "gamma"), ("ax", "carried A xi"), ("grad_xi", "carried grad_xi"),
+    ("grad_gamma_projected", "carried P grad_gamma"))])
+def test_iterate_checks_the_shapes_of_a_carried_state(monkeypatch, field, name, cached):
+    if not cached:
+        monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 0)
+    inst = draw_instance(16, 4, 8, 0.3, seed=1)
+    assert (inst.ensemble.stacked() is not None) == cached
+    state = _carried_start(inst)
+    holder = state if field in ("xi", "gamma") else state.evaluation
+    setattr(holder, field, getattr(holder, field)[:3])
+    with pytest.raises(DimensionError, match=f"^{name} must have shape"):
+        iterate(state, SolverConfig(rho=0.3), inst.ensemble, inst.y)

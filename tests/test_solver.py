@@ -14,7 +14,7 @@ from blindcal.errors import DimensionError, DivergenceError, ParameterError, The
 from blindcal.experiments import draw_instance, recovery_error, to_db
 from blindcal.geometry import delta, delta_F, draw_gain_perturbation, project_C_rho
 from blindcal.model import GroundTruth, SensingEnsemble, generate_ensemble, sense
-from blindcal.objective import forward, gradients, objective_value
+from blindcal.objective import gradients, objective_value
 from blindcal.solver import (CONVERGED, FIXED, LINE_SEARCH, MAX_ITERATIONS,
                              STAGNATION_RTOL, STAGNATION_WINDOW, UNDERDETERMINED, SolverConfig,
                              SolverState, contraction_diagnostics, default_kappa,
@@ -263,6 +263,23 @@ def test_relative_tolerance_bounds_f_by_the_data_energy():
     assert result.trace.objective[-2] < threshold <= result.trace.objective[-3]
 
 
+@pytest.mark.parametrize("mode", [LINE_SEARCH, FIXED])
+def test_carried_objective_stays_at_f_of_the_result(mode):
+    # a cached solve of thousands of steps, each carrying A xi by recurrence;
+    # mp = 18 >= n + m - 1 = 17, so line search stops converged, fixed on its budget
+    inst = draw_instance(12, 6, 3, 0.3, seed=2)
+    assert inst.ensemble.stacked() is not None
+    config = SolverConfig(step_mode=mode, mu=2e-3, rho=0.3, max_iterations=12_000,
+                          record_trace=False)
+    result = solve(inst.ensemble, inst.y, config)
+    assert result.stop_reason == (CONVERGED if mode == LINE_SEARCH else MAX_ITERATIONS)
+    assert result.iterations >= 5000
+    f = objective_value(inst.ensemble, inst.y, (result.x_hat, result.d_hat))
+    scale = float(np.vdot(inst.y, inst.y)) / (2 * 6 * 3)
+    # 100 times below RELATIVE_TOLERANCE: a converged stop bounds the true f too
+    assert abs(result.objective - f) <= 1e-14 * scale
+
+
 def test_underdetermined_fit_stops_underdetermined():
     # m*p = n + m - 1 is the smallest identifiable p
     assert [SensingEnsemble(9, 4, p).underdetermined for p in (2, 3)] == [True, False]
@@ -395,11 +412,26 @@ def test_gamma_stays_feasible_without_projection():
 # ---------------------------------------------------------------------------
 
 def reference_solve(ensemble, y, config):
-    """The descent loop evaluated piece by piece: gradients, forward(xi) and
-    forward(g) for the line search, objective_value at every new point."""
-    mp = ensemble.m * ensemble.p
+    """The descent loop written out on the stacked rows, in the solver's
+    order: the gain step from the carried A xi, then A g, the signal step
+    with the pre-step gamma, and A xi' = A xi - mu_xi A g by recurrence."""
+    m, p = ensemble.m, ensemble.p
+    mp = m * p
+    rows = np.concatenate(list(ensemble.iter_matrices()))
     xi, gamma = initialise(ensemble, y)
-    f = objective_value(ensemble, y, (xi, gamma))
+    ax = rows.dot(xi).reshape(p, m)
+
+    def evaluate(ax, gamma):
+        r = gamma * ax - y
+        g = (1.0 / mp) * (gamma * r).reshape(-1).dot(rows)
+        grad_gamma = (1.0 / mp) * np.sum(r * ax, 0)
+        return float(np.sum(r * r)) / (2.0 * mp), g, grad_gamma - np.sum(grad_gamma) / m
+
+    def step(direction, image):
+        den = float(np.sum(image * image))
+        return mp * float(direction.dot(direction)) / den if den > 0.0 else 0.0
+
+    f, g, h = evaluate(ax, gamma)
     if config.step_mode == FIXED:
         fixed = (config.mu, config.mu * ensemble.m / float(xi @ xi))
     objectives, mus, recent, k = [f], [0.0], [f], 0
@@ -413,18 +445,15 @@ def reference_solve(ensemble, y, config):
             stop = "stagnated"
             break
         previous = f
-        grads = gradients(ensemble, y, (xi, gamma))
-        g, h = grads.grad_xi, grads.grad_gamma_projected
+        ag = rows.dot(g).reshape(p, m)
         if config.step_mode == LINE_SEARCH:
-            s = gamma * forward(ensemble, g)
-            t = forward(ensemble, xi) * h
-            mu_xi = mp * float(g @ g) / float(np.sum(s * s)) if g @ g > 0 else 0.0
-            mu_gamma = mp * float(h @ h) / float(np.sum(t * t)) if h @ h > 0 else 0.0
+            mu_xi, mu_gamma = step(g, gamma * ag), step(h, ax * h)
         else:
             mu_xi, mu_gamma = fixed
-        xi = xi - mu_xi * g
         gamma = project_C_rho(gamma - mu_gamma * h, config.rho)
-        f = objective_value(ensemble, y, (xi, gamma))
+        xi = xi - mu_xi * g
+        ax = ax - mu_xi * ag
+        f, g, h = evaluate(ax, gamma)
         k += 1
         objectives.append(f)
         mus.append(mu_xi)
@@ -632,52 +661,10 @@ def assert_same_evaluation(actual, expected, assert_close):
     assert_close(np.asarray(actual.objective), np.asarray(expected.objective))
 
 
-def test_line_search_sweep_matches_two_passes_on_cached_ensemble():
-    inst = draw_instance(12, 6, 6, 0.3, seed=90)
-    assert inst.ensemble.stacked() is not None
-    config = SolverConfig(step_mode=LINE_SEARCH, rho=0.3)
-    xi, gamma = initialise(inst.ensemble, inst.y)
-    state = SolverState(xi, gamma, 0, 0.0,
-                        evaluation=gradients(inst.ensemble, inst.y, (xi, gamma)))
-    for _ in range(5):
-        # the two-pass formula: the steps, then the new point evaluated afresh
-        mu_xi, mu_gamma = exact_line_search(state, inst.ensemble, inst.y)
-        xi = state.xi - mu_xi * state.evaluation.grad_xi
-        gamma = project_C_rho(state.gamma - mu_gamma * state.evaluation.grad_gamma_projected,
-                              config.rho)
-        expected = gradients(inst.ensemble, inst.y, (xi, gamma))
-        state = iterate(state, config, inst.ensemble, inst.y)
-        np.testing.assert_array_equal(state.xi, xi)
-        np.testing.assert_array_equal(state.gamma, gamma)
-        assert state.objective == expected.objective
-        assert (state.mu_xi, state.mu_gamma) == (mu_xi, mu_gamma)
-        assert_same_evaluation(state.evaluation, expected, np.testing.assert_array_equal)
-
-
-def test_fixed_step_matches_the_public_pieces_on_cached_ensemble():
-    inst = draw_instance(12, 6, 6, 0.3, seed=90)
-    assert inst.ensemble.stacked() is not None
-    config = SolverConfig(step_mode=FIXED, mu=2e-3, rho=0.3)
-    xi, gamma = initialise(inst.ensemble, inst.y)
-    fixed = (2e-3, 2e-3 * inst.ensemble.m / float(xi @ xi))
-    state = SolverState(xi, gamma, 0, 0.0,
-                        evaluation=gradients(inst.ensemble, inst.y, (xi, gamma)))
-    for _ in range(5):
-        xi = state.xi - fixed[0] * state.evaluation.grad_xi
-        gamma = project_C_rho(state.gamma - fixed[1] * state.evaluation.grad_gamma_projected,
-                              config.rho)
-        expected = gradients(inst.ensemble, inst.y, (xi, gamma))
-        state = iterate(state, config, inst.ensemble, inst.y, fixed)
-        np.testing.assert_array_equal(state.xi, xi)
-        np.testing.assert_array_equal(state.gamma, gamma)
-        assert state.objective == expected.objective
-        assert (state.mu_xi, state.mu_gamma) == fixed
-        assert_same_evaluation(state.evaluation, expected, np.testing.assert_array_equal)
-
-
+@pytest.mark.parametrize("lazy", [False, True], ids=["cached", "lazy"])
 @pytest.mark.parametrize("mode", [LINE_SEARCH, FIXED])
-def test_lazy_step_carries_a_fresh_evaluation(monkeypatch, mode):
-    inst = trajectory_instance(monkeypatch, lazy=True)
+def test_step_carries_a_fresh_evaluation(monkeypatch, lazy, mode):
+    inst = trajectory_instance(monkeypatch, lazy)
     config = SolverConfig(step_mode=mode, mu=2e-3, rho=0.3)
     xi, gamma = initialise(inst.ensemble, inst.y)
     fixed = (2e-3, 2e-3 * inst.ensemble.m / float(xi @ xi)) if mode == FIXED else None
@@ -689,9 +676,17 @@ def test_lazy_step_carries_a_fresh_evaluation(monkeypatch, mode):
         assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
     for _ in range(20):
+        # the public pieces: the steps, then the new point evaluated afresh
+        steps = fixed or exact_line_search(state, inst.ensemble, inst.y)
+        xi = state.xi - steps[0] * state.evaluation.grad_xi
+        gamma = project_C_rho(state.gamma - steps[1] * state.evaluation.grad_gamma_projected,
+                              config.rho)
         state = iterate(state, config, inst.ensemble, inst.y, fixed)
-        fresh = gradients(inst.ensemble, inst.y, (state.xi, state.gamma))
-        assert_same_evaluation(state.evaluation, fresh, close_in_norm)
+        np.testing.assert_array_equal(state.xi, xi)
+        np.testing.assert_array_equal(state.gamma, gamma)
+        assert (state.mu_xi, state.mu_gamma) == steps
+        assert_same_evaluation(state.evaluation, gradients(inst.ensemble, inst.y, (xi, gamma)),
+                               close_in_norm)
 
 
 def poison_passed_blocks(ensemble):
