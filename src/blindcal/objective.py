@@ -17,14 +17,15 @@ E f = (1 / 2m) || xi gamma^T - x* d*^T ||_F^2.
 
 ``gradients`` evaluates a point in one sweep over ``ensemble.blocks()`` and
 also returns f and the image A xi: each block of rows gives its part of
-A xi, of the residual r and of A^T (gamma * r) (``residual_block``), so a
+A xi, then ``residual_block`` its part of r and of A^T (gamma * r), so a
 lazy ensemble regenerates each A_l once per evaluation; ``residual_terms``
-then forms the gradients and f on whole arrays. The solver's lazy step uses
-both helpers, its cached step only ``residual_terms``. The summation order
-follows the blocks: one BLAS gemv on the cached (p*m, n) stack, ascending
-snapshot order on a lazy ensemble. For one ensemble, BLAS library and thread
-count, every result repeats bit for bit; between the cached and the lazy
-path, or between BLAS builds, results may differ in the last bits.
+then forms the gradients and f on whole arrays. The solver's step carries
+A xi by recurrence on both shapes into ``residual_terms``; a lazy sweep
+also gives ``residual_block`` each carried A_b xi, three block products per
+snapshot. The summation order follows the blocks: one BLAS gemv on the
+cached (p*m, n) stack, ascending snapshot order on a lazy ensemble. For one
+ensemble, BLAS library and thread count, every result repeats bit for bit;
+across operator shapes or BLAS builds, results may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -70,10 +71,9 @@ class GradientPair:
     ax: np.ndarray | None = None
 
 
-def residual_block(rows, xi, gamma, y_b, ax_b, r_b, image_b) -> np.ndarray:
-    """A_b xi into ax_b, gamma * (A_b xi) - y_b into r_b and gamma * r_b into
-    image_b; returns A_b^T (gamma * r_b)."""
-    rows.dot(xi, ax_b.reshape(-1))
+def residual_block(rows, ax_b, gamma, y_b, r_b, image_b) -> np.ndarray:
+    """gamma * ax_b - y_b into r_b and gamma * r_b into image_b, for the block
+    image ax_b = A_b xi; returns A_b^T (gamma * r_b)."""
     np.subtract(np.multiply(gamma, ax_b, r_b), y_b, r_b)
     return np.multiply(gamma, r_b, image_b).reshape(-1).dot(rows)
 
@@ -96,7 +96,8 @@ def gradients(ensemble, y, point) -> GradientPair:
     ax, r, image = (np.empty((ensemble.p, ensemble.m)) for _ in range(3))
     back = np.zeros(ensemble.n)
     for sl, rows in ensemble.blocks():
-        back += residual_block(rows, xi, gamma, y[sl], ax[sl], r[sl], image[sl])
+        rows.dot(xi, ax[sl].reshape(-1))
+        back += residual_block(rows, ax[sl], gamma, y[sl], r[sl], image[sl])
     return GradientPair(*residual_terms(ax, r, back, image), ax)
 
 

@@ -30,23 +30,23 @@ numerators reduce to mp times the squared direction norms.
 
 Operator cost: every iterate is evaluated once (f, A xi and both
 gradients) and the state carries that evaluation into the next step. The
-gain step needs only the carried A xi; one pass over the operator (one
-regeneration pass on a lazy ensemble) then gives A g and the new point's
-evaluation, in either step mode, with A xi' = A xi - mu_xi A g by recurrence:
-a cached pass reads the stack twice, for A g and one adjoint A^T (gamma' * r').
-A k-iteration solve, with the start's adjoint and evaluation, applies the
-operator exactly k + 2 times. A zero direction still costs its pass (step 0).
+gain step needs only the carried A xi; one pass over the operator then gives
+A g and the new point's evaluation, in either step mode and on either shape,
+with A xi' = A xi - mu_xi A g by recurrence: a cached pass reads the stack
+twice, a lazy pass makes three block products per regenerated snapshot. A
+k-iteration solve, with the start's adjoint and evaluation, applies the
+operator exactly k + 2 times; a zero direction still costs its pass.
 
 Allocation and floating-point state: the descent loop, ``_descend``, is
-built once per solve and run for one step by ``iterate``. It checks y,
-allocates its work arrays and enters ``np.errstate(over="ignore",
-invalid="ignore")`` once. The iterate, its evaluation and the steps are its
-local variables, which a trace record takes as values; it writes no state
-it is handed and builds the returned ``SolverState`` and ``GradientPair``
-once, at the stop. An iteration allocates vectors of length n or m only:
-the new iterate, the projection's temporaries, A^T (gamma * r) and the
-gradients. Overflow, and the inf - inf it leads to, is the divergence
-signal: a non-finite iterate or objective raises DivergenceError.
+built once per solve and run for one step by ``iterate``, on y and a state
+its caller checked. It allocates its work arrays and enters
+``np.errstate(over="ignore", invalid="ignore")`` once. The iterate, its
+evaluation and the steps are its local variables, which a trace record
+takes as values; it writes no state it is handed and builds the returned
+``SolverState`` and ``GradientPair`` once, at the stop. An iteration
+allocates vectors of length n or m only (the new iterate, the projection's
+temporaries, A^T (gamma * r), the gradients). Overflow, and its inf - inf,
+signals divergence: a non-finite iterate or objective raises DivergenceError.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import math
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -94,7 +94,10 @@ class SolverConfig:
     step_mode: str = LINE_SEARCH
     mu: float | None = None  # signal step for fixed mode
     rho: float = 0.0
-    objective_tolerance: float | None = None  # absolute bound on f; None: relative
+    # absolute bound on f (None: relative). The carried f tracks f at (x_hat, d_hat) only
+    # to about 1e-14 ||y||^2 / (2mp), so a bound below that can stop converged with f at
+    # the result above it: draw_instance(12, 6, 3, 0.3, 2) at 1e-29 ended at 1.8e-28.
+    objective_tolerance: float | None = None
     max_iterations: int = 100_000
     apply_C_rho_projection: bool = True
     record_trace: bool = True
@@ -215,38 +218,28 @@ def _finite(v: np.ndarray, zeros: np.ndarray, iteration: int) -> np.ndarray:
 
 def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
              tolerance: float, budget: int, record=None) -> tuple[str, SolverState]:
-    """The descent loop of ``iterate`` and ``solve``: check ``y``, evaluate
-    ``state`` if it carries no evaluation and step from it until the iteration
-    count reaches ``budget``, f stagnates or the objective stepped from is
-    below ``tolerance``; return the stop reason and a new state with its
-    steps and evaluation, writing none into ``state``. ``record(k, f, mu_xi,
-    mu_gamma, xi, gamma)``, if given, takes each thinned trace row.
+    """The descent loop of ``iterate`` and ``solve``: step from ``state``, checked
+    and evaluated by the caller, until the iteration count reaches ``budget``,
+    f stagnates or the objective stepped from is below ``tolerance``; return
+    the stop reason and a new state with its steps and evaluation, writing
+    none into ``state``. ``record(k, f, mu_xi, mu_gamma, xi, gamma)``, if
+    given, takes each thinned trace row.
 
-    The shapes of xi, gamma and the carried A xi, g and P grad_gamma are
-    checked once. Each step takes the gain step from the carried A xi and
-    projects it; one pass over ``blocks()`` gives A g, for mu_xi in line
-    search and for A xi' = A xi - mu_xi A g in either mode, and
-    xi' = xi - mu_xi g. A cached ensemble's one block is read twice, for A g
-    and for one adjoint A^T (gamma' * r'). On a lazy one every block gives
-    A_b g, a fresh A_b xi (the A xi of the recurrence) and the partials
-    bv = A_b^T (gamma' * r_b(xi)), bu = A_b^T (gamma'^2 * A_b g), so
-    A^T (gamma' * r') = bv - mu_xi bu.
+    A step projects the gain step taken from the carried A xi. One pass over
+    ``blocks()`` gives A g, for mu_xi in line search and for the recurrence
+    A xi' = A xi - mu_xi A g. A block of fewer than mp rows, a lazy sweep's,
+    also adds bv = A_b^T (gamma' * r_b), r_b from the carried A xi, and
+    bu = A_b^T (gamma'^2 * A_b g): three block products per snapshot, and
+    A^T (gamma' * r') = bv - mu_xi bu. The cached stack takes one more read.
     """
-    m, p = ensemble.m, ensemble.p
-    y = check_array(y, (p, m), "snapshots", finite=True)
-    xi, gamma = check_array(state.xi, (ensemble.n,), "xi"), check_array(state.gamma, (m,), "gamma")
-    grads = state.evaluation or gradients(ensemble, y, (xi, gamma))
+    m, p, xi, gamma, grads = ensemble.m, ensemble.p, state.xi, state.gamma, state.evaluation
     mp, rho, k, f = m * p, config.rho, state.iteration, state.objective
     line_search, project = config.step_mode == LINE_SEARCH, config.apply_C_rho_projection
-    g, h = (check_array(grads.grad_xi, (ensemble.n,), "carried grad_xi"),
-            check_array(grads.grad_gamma_projected, (m,), "carried P grad_gamma"))
-    grad_gamma, ax = grads.grad_gamma, check_array(grads.ax, (p, m), "carried A xi")
+    g, grad_gamma, h, ax = grads.grad_xi, grads.grad_gamma, grads.grad_gamma_projected, grads.ax
     mu_xi, mu_gamma = fixed_steps or (state.mu_xi, state.mu_gamma)
     # the first step reads the carried A xi; the evaluations it makes go to work_ax
     ag, work_ax, r, image = (np.empty((p, m)) for _ in range(4))
-    ag_flat = ag.reshape(-1)
     zeros_n, zeros_m = np.zeros(ensemble.n), np.zeros(m)
-    cached = ensemble.stacked() is not None
     recent = deque([f], maxlen=STAGNATION_WINDOW + 1)
     stop = None
     with np.errstate(over="ignore", invalid="ignore"):  # see the module docstring
@@ -263,25 +256,19 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
                 gamma_next = _finite(gamma - mu_gamma * h, zeros_m, k)
                 if project:
                     gamma_next = geometry.project_C_rho(gamma_next, rho)
-                if cached:
-                    (_, rows), = ensemble.blocks()
-                    rows.dot(g, ag_flat)
-                else:
-                    bv = bu = 0.0
-                    gamma_sq = gamma_next * gamma_next
-                    for sl, rows in ensemble.blocks():
-                        rows.dot(g, ag[sl].reshape(-1))
-                        bv += residual_block(rows, xi, gamma_next, y[sl], work_ax[sl], r[sl],
-                                             image[sl])
-                        bu += np.multiply(gamma_sq, ag[sl], image[sl]).reshape(-1).dot(rows)
-                    ax = work_ax  # the sweep's fresh A xi
+                bv = bu = 0.0
+                for sl, rows in ensemble.blocks():
+                    rows.dot(g, ag[sl].reshape(-1))
+                    if len(rows) < mp:  # a lazy sweep's block: its two partials
+                        bv += residual_block(rows, ax[sl], gamma_next, y[sl], r[sl], image[sl])
+                        bu += (gamma_next * gamma_next * ag[sl]).reshape(-1).dot(rows)
                 if line_search:
                     mu_xi = _step(g, np.multiply(gamma, ag, image), mp)
                 xi_next = _finite(xi - mu_xi * g, zeros_n, k)
                 np.subtract(ax, np.multiply(mu_xi, ag, ag), work_ax)
                 np.subtract(np.multiply(gamma_next, work_ax, r), y, r)
-                back = (np.multiply(gamma_next, r, image).reshape(-1).dot(rows) if cached
-                        else bv - mu_xi * bu)
+                back = (bv - mu_xi * bu if len(rows) < mp
+                        else np.multiply(gamma_next, r, image).reshape(-1).dot(rows))
                 g, grad_gamma, h, f = residual_terms(work_ax, r, back, image)
                 if not math.isfinite(f):
                     raise DivergenceError(f"objective became non-finite at iteration {k}", k)
@@ -301,16 +288,24 @@ def iterate(state: SolverState, config: SolverConfig, ensemble, y,
             fixed_steps=None) -> SolverState:
     """Apply one descent update, the loop of ``solve`` run for one step, and
     return a new state that carries the steps taken and its own evaluation;
-    ``state`` is never written, and ``y`` is checked on every step.
+    ``state`` is never written. Each call checks ``y`` (finite entries
+    included) and the shapes of the state and its carried evaluation.
 
     Line-search mode takes the exact block steps; fixed mode needs the step
     pair (mu_xi, mu_gamma) in ``fixed_steps``.
     """
     if config.step_mode == FIXED and fixed_steps is None:
-        raise ParameterError(
-            "fixed step mode needs explicit (mu_xi, mu_gamma); "
-            "solve() derives mu_gamma = mu * m / ||xi_0||^2")
-    return _descend(state, config, ensemble, y, fixed_steps, -math.inf, state.iteration + 1)[1]
+        raise ParameterError("fixed step mode needs explicit (mu_xi, mu_gamma); "
+                             "solve() derives mu_gamma = mu * m / ||xi_0||^2")
+    n, m, p = ensemble.n, ensemble.m, ensemble.p
+    y = check_array(y, (p, m), "snapshots", finite=True)
+    xi, gamma = check_array(state.xi, (n,), "xi"), check_array(state.gamma, (m,), "gamma")
+    grads = state.evaluation or gradients(ensemble, y, (xi, gamma))
+    grads = GradientPair(check_array(grads.grad_xi, (n,), "carried grad_xi"), grads.grad_gamma,
+                         check_array(grads.grad_gamma_projected, (m,), "carried P grad_gamma"),
+                         grads.objective, check_array(grads.ax, (p, m), "carried A xi"))
+    return _descend(replace(state, xi=xi, gamma=gamma, evaluation=grads), config, ensemble, y,
+                    fixed_steps, -math.inf, state.iteration + 1)[1]
 
 
 @dataclass
@@ -344,6 +339,7 @@ def solve(ensemble, y, config: SolverConfig, truth: GroundTruth | None = None) -
         check_array(truth.x, (ensemble.n,), "truth.x")
         check_array(truth.d, (ensemble.m,), "truth.d")
     passes0 = ensemble.operator_passes
+    y = np.asarray(y, dtype=float)  # checked, finite included, by initialise
     xi0, gamma0 = initialise(ensemble, y)
     grads0 = gradients(ensemble, y, (xi0, gamma0))
     t_start = time.perf_counter()

@@ -16,7 +16,8 @@ from blindcal.geometry import NeighbourhoodSpec, draw_gain_perturbation, project
 from blindcal.model import GroundTruth, SensingEnsemble, generate_ensemble
 from blindcal.seeding import derive_seed
 from blindcal.objective import gradients
-from blindcal.solver import FIXED, SolverConfig, SolverState, initialise, iterate, solve
+from blindcal.solver import (FIXED, LINE_SEARCH, SolverConfig, SolverState, initialise, iterate,
+                             solve)
 
 NAN, INF = float("nan"), float("inf")
 
@@ -188,3 +189,24 @@ def test_iterate_checks_the_shapes_of_a_carried_state(monkeypatch, field, name, 
     setattr(holder, field, getattr(holder, field)[:3])
     with pytest.raises(DimensionError, match=f"^{name} must have shape"):
         iterate(state, SolverConfig(rho=0.3), inst.ensemble, inst.y)
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "lazy"])
+@pytest.mark.parametrize("mode", [LINE_SEARCH, FIXED])
+def test_solve_checks_the_snapshots_for_finite_entries_once(monkeypatch, mode, cached):
+    if not cached:
+        monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 0)
+    inst = draw_instance(16, 4, 8, 0.3, seed=1)
+    assert (inst.ensemble.stacked() is not None) == cached
+    calls = []
+
+    def spy(value, shape, name, finite=False):
+        calls.append((name, finite))
+        return check_array(value, shape, name, finite)
+
+    for module in ("solver", "objective"):
+        monkeypatch.setattr(f"blindcal.{module}.check_array", spy)
+    config = SolverConfig(step_mode=mode, mu=1e-3, rho=0.3, objective_tolerance=1e-30,
+                          max_iterations=5)
+    assert solve(inst.ensemble, inst.y, config).iterations == 5
+    assert calls.count(("snapshots", True)) == 1

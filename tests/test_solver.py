@@ -263,12 +263,16 @@ def test_relative_tolerance_bounds_f_by_the_data_energy():
     assert result.trace.objective[-2] < threshold <= result.trace.objective[-3]
 
 
-@pytest.mark.parametrize("mode", [LINE_SEARCH, FIXED])
-def test_carried_objective_stays_at_f_of_the_result(mode):
-    # a cached solve of thousands of steps, each carrying A xi by recurrence;
+@pytest.mark.parametrize("mode, lazy", [
+    pytest.param(mode, lazy, id=mode + ("-lazy" if lazy else ""))
+    for lazy in (False, True) for mode in (LINE_SEARCH, FIXED)])
+def test_carried_objective_stays_at_f_of_the_result(monkeypatch, mode, lazy):
+    # a solve of thousands of steps, each carrying A xi by recurrence;
     # mp = 18 >= n + m - 1 = 17, so line search stops converged, fixed on its budget
+    if lazy:
+        monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 0)
     inst = draw_instance(12, 6, 3, 0.3, seed=2)
-    assert inst.ensemble.stacked() is not None
+    assert (inst.ensemble.stacked() is None) == lazy
     config = SolverConfig(step_mode=mode, mu=2e-3, rho=0.3, max_iterations=12_000,
                           record_trace=False)
     result = solve(inst.ensemble, inst.y, config)
