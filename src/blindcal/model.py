@@ -10,9 +10,10 @@ which chooses between the cached stack and regeneration and counts one
 operator pass per call. A cached ensemble builds its one block, the
 flattened (p*m, n) view of the stack, once and hands out that same block on
 every pass; a lazy pass holds one window of snapshots, drawn ahead on pool
-threads with the same bits. ``matrix(l)`` makes the same choice for one
-snapshot; diagnostics reading one at a time through ``iter_matrices()``
-(``objective.hessian``, ``experiments.check_concentration``) count no pass.
+threads with the same bits; the same pool applies a large cached stack in
+row chunks. ``matrix(l)`` makes the same choice for one snapshot; diagnostics
+reading one at a time through ``iter_matrices()`` (``objective.hessian``,
+``experiments.check_concentration``) count no pass.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -40,15 +42,43 @@ CACHE_LIMIT_CELLS = 1 << 25
 
 # Snapshots are drawn ahead in tasks of at least this many cells, one hand-off each.
 DRAW_TASK_CELLS = 1 << 15
+# A cached stack of twice this many cells or more is applied in row chunks of at least
+# this many on the pool, each whole 16-row groups, so a row keeps one dot's gemv path.
+SPLIT_CELLS = 1 << 20
 
 
 @lru_cache
 def _pool(pid: int):
-    """Process pid's draw-ahead pool, one thread per CPU (a forked child has its own)."""
+    """Process pid's draw-ahead and split pool, one thread per CPU (a fork has its own)."""
     from concurrent.futures import ThreadPoolExecutor
     affinity = getattr(os, "sched_getaffinity", None)
     threads = len(affinity(0)) if affinity else os.cpu_count() or 1
     return ThreadPoolExecutor(threads), threads
+
+
+def _row_chunks(rows: np.ndarray, count: int) -> SimpleNamespace:
+    """rows in count chunks, applied as rows is: ``dot(v, out)`` is rows @ v into
+    out, bit for bit one single-threaded dot, ``T.dot(w)`` is w @ rows, the chunks'
+    products added in order. The caller applies the first chunk, the pool the rest."""
+    edges = [16 * (len(rows) // 16 * i // count) for i in range(count)] + [len(rows)]
+    slices = [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+    def run(call):  # [call(sl) for each chunk's slice]; every call is done on return
+        futures = [_pool(os.getpid())[0].submit(call, sl) for sl in slices[1:]]
+        try:
+            return [call(slices[0])] + [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.exception()
+
+    def forward(v, out):
+        run(lambda sl: rows[sl].dot(v, out[sl]))
+        return out
+
+    def adjoint(w):
+        return sum(run(lambda sl: w[sl].dot(rows[sl])))
+
+    return SimpleNamespace(dot=forward, T=SimpleNamespace(dot=adjoint))
 
 
 def as_point(point) -> tuple[np.ndarray, np.ndarray]:
@@ -67,10 +97,9 @@ class SensingEnsemble:
     any single matrix can be regenerated independently and deterministically.
     Ensembles of at most ``CACHE_LIMIT_CELLS`` cells are cached stacked as a
     C-contiguous (p, m, n) array on first use, allocated once and filled one
-    snapshot at a time, so building it never holds the operator twice;
-    ``blocks()`` hands the operator that stack or one regenerated snapshot at
-    a time, from a window of two tasks per CPU drawn ahead; ``operator_passes``
-    counts its calls, one per application of the operator.
+    snapshot at a time, so building it never holds the operator twice.
+    ``operator_passes`` counts the calls of ``blocks()``, one per application
+    of the operator.
     """
 
     n: int
@@ -146,16 +175,19 @@ class SensingEnsemble:
         """The operator's rows as (snapshot slice, (k*m, n) matrix) blocks.
 
         A cached ensemble is one block, a view of the flattened (p*m, n)
-        stack built on the first call, so each application is one BLAS call;
-        a lazy one yields p blocks, each snapshot regenerated once by
-        ``matrix(l)``. Every call counts one operator pass.
+        stack built on the first call, so each application is one BLAS call
+        (or, from 2 * SPLIT_CELLS cells, one per ``_row_chunks``); a lazy one
+        yields p blocks, each snapshot regenerated once by ``matrix(l)``.
+        Every call counts one operator pass.
         """
         self.operator_passes += 1
         if self._blocks is None:
             stacked = self.stacked()
             if stacked is None:
                 return self._sweep()
-            self._blocks = ((slice(0, self.p), stacked.reshape(self.p * self.m, self.n)),)
+            rows = stacked.reshape(self.p * self.m, self.n)
+            count = len(rows) // (16 * -(-SPLIT_CELLS // (16 * self.n)))  # chunks, see SPLIT_CELLS
+            self._blocks = ((slice(0, self.p), rows if count < 2 else _row_chunks(rows, count)),)
         return self._blocks
 
     def _sweep(self) -> Iterator[tuple[slice, np.ndarray]]:
@@ -199,7 +231,7 @@ def adjoint(ensemble: SensingEnsemble, w) -> np.ndarray:
     w = check_array(w, (p, m), "weights")
     out = np.zeros(ensemble.n)
     for sl, rows in ensemble.blocks():
-        out += w[sl].reshape(-1).dot(rows)
+        out += rows.T.dot(w[sl].reshape(-1))
     return out
 
 

@@ -19,13 +19,13 @@ E f = (1 / 2m) || xi gamma^T - x* d*^T ||_F^2.
 also returns f and the image A xi: each block of rows gives its part of
 A xi, then ``residual_block`` its part of r and of A^T (gamma * r), so a
 lazy ensemble regenerates each A_l once per evaluation; ``residual_terms``
-then forms the gradients and f on whole arrays. The solver's step carries
-A xi by recurrence on both shapes into ``residual_terms``; a lazy sweep
-also gives ``residual_block`` each carried A_b xi, three block products per
-snapshot. The summation order follows the blocks: one BLAS gemv on the
-cached (p*m, n) stack, ascending snapshot order on a lazy ensemble. For one
-ensemble, BLAS library and thread count, every result repeats bit for bit;
-across operator shapes or BLAS builds, results may differ in the last bits.
+then forms the gradients and f on whole arrays, as it does after each
+solver step. The summation order follows the blocks: one BLAS gemv on the
+cached (p*m, n) stack or per row chunk of a large one (chunks set by its
+shape, added in order), ascending snapshot order on a lazy ensemble. For
+one ensemble and BLAS build (on a fixed BLAS thread count), whatever the
+CPU count, every result repeats bit for bit; across operator shapes or BLAS
+builds, results may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def residual_block(rows, ax_b, gamma, y_b, r_b, image_b) -> np.ndarray:
     """gamma * ax_b - y_b into r_b and gamma * r_b into image_b, for the block
     image ax_b = A_b xi; returns A_b^T (gamma * r_b)."""
     np.subtract(np.multiply(gamma, ax_b, r_b), y_b, r_b)
-    return np.multiply(gamma, r_b, image_b).reshape(-1).dot(rows)
+    return rows.T.dot(np.multiply(gamma, r_b, image_b).reshape(-1))
 
 
 def residual_terms(ax, r, back, image) -> tuple:

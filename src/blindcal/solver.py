@@ -33,7 +33,8 @@ gradients) and the state carries that evaluation into the next step. The
 gain step needs only the carried A xi; one pass over the operator then gives
 A g and the new point's evaluation, in either step mode and on either shape,
 with A xi' = A xi - mu_xi A g by recurrence: a cached pass reads the stack
-twice, a lazy pass makes three block products per regenerated snapshot. A
+twice (on every CPU from 2 * ``model.SPLIT_CELLS`` cells, as the imaging
+demo's), a lazy pass makes three block products per regenerated snapshot. A
 k-iteration solve, with the start's adjoint and evaluation, applies the
 operator exactly k + 2 times; a zero direction still costs its pass.
 
@@ -227,8 +228,8 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
 
     A step projects the gain step taken from the carried A xi. One pass over
     ``blocks()`` gives A g, for mu_xi in line search and for the recurrence
-    A xi' = A xi - mu_xi A g. A block of fewer than mp rows, a lazy sweep's,
-    also adds bv = A_b^T (gamma' * r_b), r_b from the carried A xi, and
+    A xi' = A xi - mu_xi A g, on a copy of the carried A xi. A lazy sweep's
+    block also adds bv = A_b^T (gamma' * r_b), r_b from the carried A xi, and
     bu = A_b^T (gamma'^2 * A_b g): three block products per snapshot, and
     A^T (gamma' * r') = bv - mu_xi bu. The cached stack takes one more read.
     """
@@ -237,8 +238,11 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
     line_search, project = config.step_mode == LINE_SEARCH, config.apply_C_rho_projection
     g, grad_gamma, h, ax = grads.grad_xi, grads.grad_gamma, grads.grad_gamma_projected, grads.ax
     mu_xi, mu_gamma = fixed_steps or (state.mu_xi, state.mu_gamma)
-    # the first step reads the carried A xi; the evaluations it makes go to work_ax
-    ag, work_ax, r, image = (np.empty((p, m)) for _ in range(4))
+    ag, r, image = (np.empty((p, m)) for _ in range(3))
+    ax = np.array(ax)  # a copy of the carried A xi, stepped in place by the recurrence
+    lazy = ensemble.stacked() is None
+    # a block's rows of A g (flat), A xi, y, r, image: the stack's made once, a sweep's per step
+    stack_block, image_flat = [(ag.reshape(-1), ax, y, r, image)], image.reshape(-1)
     zeros_n, zeros_m = np.zeros(ensemble.n), np.zeros(m)
     recent = deque([f], maxlen=STAGNATION_WINDOW + 1)
     stop = None
@@ -256,23 +260,26 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
                 gamma_next = _finite(gamma - mu_gamma * h, zeros_m, k)
                 if project:
                     gamma_next = geometry.project_C_rho(gamma_next, rho)
-                bv = bu = 0.0
-                for sl, rows in ensemble.blocks():
-                    rows.dot(g, ag[sl].reshape(-1))
-                    if len(rows) < mp:  # a lazy sweep's block: its two partials
-                        bv += residual_block(rows, ax[sl], gamma_next, y[sl], r[sl], image[sl])
-                        bu += (gamma_next * gamma_next * ag[sl]).reshape(-1).dot(rows)
+                bv, bu, parts = 0.0, 0.0, zip(ag, ax, y, r, image) if lazy else stack_block
+                for (_, rows), (ag_b, ax_b, y_b, r_b, image_b) in zip(ensemble.blocks(), parts):
+                    rows.dot(g, ag_b)
+                    if lazy:  # a snapshot's block: its two partials
+                        bv += residual_block(rows, ax_b, gamma_next, y_b, r_b, image_b)
+                        bu += rows.T.dot(gamma_next * gamma_next * ag_b)
                 if line_search:
                     mu_xi = _step(g, np.multiply(gamma, ag, image), mp)
                 xi_next = _finite(xi - mu_xi * g, zeros_n, k)
-                np.subtract(ax, np.multiply(mu_xi, ag, ag), work_ax)
-                np.subtract(np.multiply(gamma_next, work_ax, r), y, r)
-                back = (bv - mu_xi * bu if len(rows) < mp
-                        else np.multiply(gamma_next, r, image).reshape(-1).dot(rows))
-                g, grad_gamma, h, f = residual_terms(work_ax, r, back, image)
+                np.subtract(ax, np.multiply(mu_xi, ag, ag), ax)
+                np.subtract(np.multiply(gamma_next, ax, r), y, r)
+                if lazy:
+                    back = bv - mu_xi * bu
+                else:  # the cached stack's second read
+                    np.multiply(gamma_next, r, image)
+                    back = rows.T.dot(image_flat)
+                g, grad_gamma, h, f = residual_terms(ax, r, back, image)
                 if not math.isfinite(f):
                     raise DivergenceError(f"objective became non-finite at iteration {k}", k)
-                xi, gamma, ax = xi_next, gamma_next, work_ax
+                xi, gamma = xi_next, gamma_next
                 recent.append(f)
                 if previous < tolerance:
                     stop = CONVERGED

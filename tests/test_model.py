@@ -1,6 +1,7 @@
 import os
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple
 
 import hypothesis.strategies as st
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 
 from blindcal import model
 from blindcal.errors import DimensionError, ParameterError
+from blindcal.experiments import draw_instance
 from blindcal.model import (GroundTruth, SensingEnsemble, adjoint, forward,
                             generate_ensemble, sense)
 from blindcal.objective import gradients
+from blindcal.solver import FIXED, LINE_SEARCH, SolverConfig, solve
 
 
 def test_generate_is_deterministic():
@@ -398,3 +401,106 @@ def test_lazy_sweep_seeds_and_yields_in_order_on_the_calling_thread(monkeypatch)
     assert sum(name == "derive_seed" for name, *_ in calls) == 2 * e.p
     # each sweep fills its first task of two snapshots here, the rest on the pool
     assert len(fills) == 2 * e.p and fills.count(caller) == 2 * 2
+
+
+# ---------------------------------------------------------------------------
+# large cached stacks applied in row chunks on the pool
+# ---------------------------------------------------------------------------
+
+def split_ensemble(monkeypatch):
+    """A cached (104, 16) stack, split in five chunks of 16 rows and one of 24."""
+    monkeypatch.setattr("blindcal.model.SPLIT_CELLS", 16 * 16)
+    return generate_ensemble(16, 8, 13, "gaussian", seed=31)
+
+
+def pool_of(monkeypatch, pool, threads):
+    monkeypatch.setattr("blindcal.model._pool", lambda pid: (pool, threads))
+
+
+@pytest.mark.parametrize("p, chunks", [(1, 1), (2, 2), (3, 3), (7, 7)])
+def test_split_starts_at_twice_the_split_size(monkeypatch, p, chunks):
+    monkeypatch.setattr("blindcal.model.SPLIT_CELLS", 16 * 16)
+    e = generate_ensemble(16, 16, p, "gaussian", seed=3)  # 16 rows, 256 cells a snapshot
+    (sl, rows), = e.blocks()
+    assert sl == slice(0, p) and sum(1 for _ in e.blocks()) == 1
+    if chunks == 1:
+        assert isinstance(rows, np.ndarray) and np.shares_memory(rows, e.stacked())
+        return
+    with ThreadPoolExecutor(1) as pool:  # the caller applies one chunk, the pool the rest
+        submitted, submit = [], pool.submit
+        monkeypatch.setattr(pool, "submit", lambda *a: submitted.append(a) or submit(*a))
+        pool_of(monkeypatch, pool, 1)
+        forward(e, np.ones(e.n))
+        adjoint(e, np.ones((e.p, e.m)))
+    assert len(submitted) == 2 * (chunks - 1) and e.operator_passes == 4
+
+
+def test_split_forward_keeps_the_bits_and_adjoint_adds_chunks_in_order(monkeypatch):
+    e = split_ensemble(monkeypatch)
+    stack = e.stacked().reshape(-1, e.n)
+    rng = np.random.default_rng(5)
+    v, w = rng.standard_normal(e.n), rng.standard_normal((e.p, e.m))
+    np.testing.assert_array_equal(forward(e, v).reshape(-1), stack.dot(v))
+    edges, flat = (0, 16, 32, 48, 64, 80, 104), w.reshape(-1)
+    in_order = np.zeros(e.n)
+    for a, b in zip(edges, edges[1:]):
+        in_order += flat[a:b].dot(stack[a:b])
+    split, unsplit = adjoint(e, w), flat.dot(stack)
+    np.testing.assert_array_equal(split, in_order)
+    assert np.linalg.norm(split - unsplit) <= 1e-13 * np.linalg.norm(unsplit)
+
+
+def test_split_results_do_not_depend_on_the_pool_threads(monkeypatch):
+    e = split_ensemble(monkeypatch)
+    rng = np.random.default_rng(6)
+    v, w, y = (rng.standard_normal(shape) for shape in (e.n, (e.p, e.m), (e.p, e.m)))
+    point = rng.standard_normal(e.n), 1.0 + 0.1 * rng.standard_normal(e.m)
+    results = []
+    for threads in (1, 2):
+        with ThreadPoolExecutor(threads) as pool:
+            pool_of(monkeypatch, pool, threads)
+            results.append((forward(e, v), adjoint(e, w), *astuple(gradients(e, y, point))))
+    for one, two in zip(*results, strict=True):
+        np.testing.assert_array_equal(one, two)
+
+
+@pytest.mark.parametrize("mode", [LINE_SEARCH, FIXED])
+def test_split_solve_keeps_the_unsplit_stop_and_iterations(monkeypatch, mode):
+    config = SolverConfig(step_mode=mode, mu=0.2, rho=0.3, max_iterations=5000)
+    inst = draw_instance(16, 8, 13, 0.3, seed=2)
+    plain = solve(inst.ensemble, inst.y, config)
+    monkeypatch.setattr("blindcal.model.SPLIT_CELLS", 16 * 16)
+    split = draw_instance(16, 8, 13, 0.3, seed=2)
+    assert not isinstance(next(iter(split.ensemble.blocks()))[1], np.ndarray)
+    result = solve(split.ensemble, split.y, config)
+    assert (result.stop_reason, result.iterations) == (plain.stop_reason, plain.iterations)
+    assert result.stop_reason == "converged" and result.iterations > 0
+    assert result.operator_passes == result.iterations + 2
+    np.testing.assert_allclose(result.x_hat, plain.x_hat, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(result.d_hat, plain.d_hat, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_lazy_solve_above_the_split_size_matches_split_off(monkeypatch, threads):
+    # snapshot blocks are never split, and a split applied while a lazy window
+    # is in flight queues behind its draws, which wait on no other task
+    with ThreadPoolExecutor(threads) as pool:
+        pool_of(monkeypatch, pool, threads)
+        e = lazy_draw_ahead_ensemble(monkeypatch)
+        rng = np.random.default_rng(8)
+        y = sense(e, rng.standard_normal(e.n), 1.0 + 0.1 * rng.uniform(-1, 1, e.m))
+        config = SolverConfig(rho=0.3, max_iterations=8)
+        monkeypatch.setattr("blindcal.model.SPLIT_CELLS", 1 << 60)
+        off = solve(e, y, config)
+        monkeypatch.setattr("blindcal.model.SPLIT_CELLS", 1)  # each snapshot far above it
+        on = solve(e, y, config)
+        cached = SensingEnsemble.from_matrices(rng.standard_normal((13, 8, 16)))
+        v = rng.standard_normal(16)
+        want = cached.stacked().reshape(-1, 16).dot(v)
+        for _ in e.blocks():  # each cached forward runs behind the window's draws
+            np.testing.assert_array_equal(forward(cached, v).reshape(-1), want)
+    assert (on.stop_reason, on.iterations, on.operator_passes) == \
+        (off.stop_reason, off.iterations, off.operator_passes)
+    np.testing.assert_array_equal(on.x_hat, off.x_hat)
+    np.testing.assert_array_equal(on.d_hat, off.d_hat)
+    assert not isinstance(next(iter(cached.blocks()))[1], np.ndarray) and e._ahead == {}
