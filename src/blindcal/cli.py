@@ -138,16 +138,16 @@ def _given(**values) -> dict:
 # solve
 # ---------------------------------------------------------------------------
 
-def _cmd_solve(n=64, m=16, p=64, rho=0.05, seed=0, tol=None, step_mode="line-search", mu=1e-4,
+def _cmd_solve(n=64, m=16, p=64, rho=0.05, seed=0, tol=None, step_mode=None, mu=1e-4,
                max_iterations=None, no_projection=None, distribution=None, fmt="csv",
-               x_file=None, d_file=None, out=None) -> int:
+               x_file=None, d_file=None, out=None):
     """solve one synthetic or file-based instance"""
     if bool(x_file) != bool(d_file):
         raise UsageError("provide both --x-file and --d-file")
     config = solver.SolverConfig(
-        step_mode=step_mode.replace("-", "_"), mu=mu, rho=rho,
-        apply_C_rho_projection=not no_projection,
-        **_given(objective_tolerance=tol, max_iterations=max_iterations))
+        mu=mu, rho=rho, apply_C_rho_projection=not no_projection,
+        **_given(step_mode=step_mode and step_mode.replace("-", "_"),
+                 objective_tolerance=tol, max_iterations=max_iterations))
 
     if x_file:
         inst = experiments.build_instance(
@@ -171,7 +171,6 @@ def _cmd_solve(n=64, m=16, p=64, rho=0.05, seed=0, tol=None, step_mode="line-sea
     })
     print(f"solve: {result.stop_reason} after {result.iterations} iterations, "
           f"f = {result.objective:.3e}, error = {error_db:.2f} dB")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +179,7 @@ def _cmd_solve(n=64, m=16, p=64, rho=0.05, seed=0, tol=None, step_mode="line-sea
 
 def _cmd_phase_transition(n=None, m=None, p_values=None, rho_values=None, trials=None,
                           zeta_db=None, seed=None, tol=None, max_iterations=None,
-                          workers=None, out=None) -> int:
+                          workers=None, out=None):
     """success-probability grid over (p, rho)"""
     spec = experiments.PhaseGridSpec(**_given(
         n=n, m=m, p_values=p_values, rho_values=rho_values, trials_per_cell=trials,
@@ -200,7 +199,6 @@ def _cmd_phase_transition(n=None, m=None, p_values=None, rho_values=None, trials
     diverged = sum(t.stop_reason.startswith("error:") for t in trials)
     print(f"  of {len(trials)} trials: {failed} converged but failed, {under} underdetermined "
           f"(m*p < n + m - 1), {diverged} diverged")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +215,7 @@ def _write_test_scene(path, side=32, seed=707):
 
 
 def _cmd_demo_image(input=None, m=64, p=None, rho=0.99, seed=None, tol=None,
-                    max_iterations=None, out=None) -> int:
+                    max_iterations=None, out=None):
     """blind calibration of an imaging system"""
     if input is None:
         input = os.path.join(out, "scene.pgm")
@@ -229,7 +227,6 @@ def _cmd_demo_image(input=None, m=64, p=None, rho=0.99, seed=None, tol=None,
     print(f"demo-image: blind error = {report.error_db:.2f} dB, "
           f"LS baseline = {report.ls_error_db:.2f} dB "
           f"({report.iterations} iterations, {report.stop_reason})")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +234,7 @@ def _cmd_demo_image(input=None, m=64, p=None, rho=0.99, seed=None, tol=None,
 # ---------------------------------------------------------------------------
 
 def _cmd_rate_compare(n=None, m=None, p=None, rho=None, seed=None, tol=None, mu=None,
-                      max_iterations=None, out=None) -> int:
+                      max_iterations=None, out=None):
     """line-search vs fixed-step run"""
     spec = experiments.RateComparisonSpec(**_given(
         n=n, m=m, p=p, rho=rho, seed=seed, tolerance=tol, mu=mu,
@@ -253,7 +250,6 @@ def _cmd_rate_compare(n=None, m=None, p=None, rho=None, seed=None, tol=None, mu=
     fileio.write_report_json(os.path.join(out, "rate_compare.json"), report)
     print(f"rate-compare: line search {result.line_search.iterations} iterations "
           f"vs fixed {result.fixed.iterations} iterations")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +257,7 @@ def _cmd_rate_compare(n=None, m=None, p=None, rho=None, seed=None, tol=None, mu=
 # ---------------------------------------------------------------------------
 
 def _cmd_check_concentration(n=32, m=16, p=100, theta="ones", trials=20,
-                             distribution=model.GAUSSIAN, seed=None, out=None) -> int:
+                             distribution=model.GAUSSIAN, seed=None, out=None):
     """weighted covariance deviation"""
     stats = experiments.check_concentration(n, m, p, distribution, theta, trials,
                                             **_given(seed=seed))
@@ -271,7 +267,6 @@ def _cmd_check_concentration(n=32, m=16, p=100, theta="ones", trials=20,
     })
     print(f"check-concentration: max = {stats['max_deviation']:.4f}, "
           f"mean = {stats['mean_deviation']:.4f}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +274,7 @@ def _cmd_check_concentration(n=32, m=16, p=100, theta="ones", trials=20,
 # ---------------------------------------------------------------------------
 
 def _cmd_init_study(n=None, m=None, p_values=None, trials=None, rho=None, seed=None,
-                    out=None) -> int:
+                    out=None):
     """initialisation proximity vs mp"""
     result = experiments.run_init_study(**_given(
         n=n, m=m, p_values=p_values, trials=trials, rho=rho, base_seed=seed))
@@ -288,7 +283,6 @@ def _cmd_init_study(n=None, m=None, p_values=None, trials=None, rho=None, seed=N
                      ((str(mp), repr(err))
                       for mp, err in zip(result.mp_values, result.mean_relative_error)))
     print(f"init-study: slope = {result.slope:.3f} (wrote {path})")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +325,8 @@ def dispatch(argv=None) -> int:
         merged = _merge_config(vars(args), args.config, _options(handler))
         merged["out"] = merged["out"] or os.environ.get("BLINDCAL_OUTPUT_DIR") or "."
         os.makedirs(merged["out"], exist_ok=True)
-        return handler(**merged)
+        handler(**merged)
+        return 0
     except (UsageError, ParameterError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -174,6 +174,7 @@ def _phase_trial(args) -> TrialOutcome:
     config = SolverConfig(rho=rho, objective_tolerance=spec.tolerance,
                           max_iterations=spec.max_iterations, record_trace=False)
     try:
+        # untraced: solve only checks truth's shapes, but benchmarks/workloads.py reads it
         result = solve(inst.ensemble, inst.y, config, truth=inst.truth)
         err = recovery_error(result.x_hat, result.d_hat, inst.truth)
         success, err_db = err < 10.0 ** (spec.zeta_db / 20.0), to_db(err)
@@ -337,6 +338,7 @@ def run_imaging_demo(image_path, m: int, p: int | None, rho: float, seed: int = 
         if ci:  # later channels sense through the first channel's ensemble
             truth = GroundTruth(x=image[ci].ravel(), d=d, rho=rho)
             inst = Instance(truth, inst.ensemble, sense(inst.ensemble, truth.x, truth.d))
+        # untraced: solve only checks truth's shapes, but benchmarks/workloads.py reads it
         result = solve(inst.ensemble, inst.y, config, truth=inst.truth)
         x_ls = least_squares_baseline(inst.ensemble, inst.y)
         channels.append(ChannelReport(

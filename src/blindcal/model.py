@@ -7,13 +7,9 @@ isotropic rows and ``d`` is a fixed vector of positive per-sensor gains.
 
 Every application of the operator is one loop over ``SensingEnsemble.blocks()``,
 which chooses between the cached stack and regeneration and counts one
-operator pass per call. A cached ensemble builds its one block, the
-flattened (p*m, n) view of the stack, once and hands out that same block on
-every pass; a lazy pass holds one window of snapshots, drawn ahead on pool
-threads with the same bits; the same pool applies a large cached stack in
-row chunks. ``matrix(l)`` makes the same choice for one snapshot; diagnostics
-reading one at a time through ``iter_matrices()`` (``objective.hessian``,
-``experiments.check_concentration``) count no pass.
+operator pass per call. ``matrix(l)`` makes the same choice for one
+snapshot; diagnostics reading one at a time through ``iter_matrices()``
+(``objective.hessian``, ``experiments.check_concentration``) count no pass.
 """
 
 from __future__ import annotations
@@ -40,10 +36,9 @@ DISTRIBUTIONS = (GAUSSIAN, RADEMACHER)
 # is filled in place: its peak is 8 bytes per cell plus one snapshot.
 CACHE_LIMIT_CELLS = 1 << 25
 
-# Snapshots are drawn ahead in tasks of at least this many cells, one hand-off each.
-DRAW_TASK_CELLS = 1 << 15
-# A cached stack of twice this many cells or more is applied in row chunks of at least
-# this many on the pool, each whole 16-row groups, so a row keeps one dot's gemv path.
+# A cached stack is applied as two halves, one on the pool, once each half holds at
+# least this many cells; the cut is at a whole 16-row group, so a row keeps one dot's
+# gemv path.
 SPLIT_CELLS = 1 << 20
 
 
@@ -56,20 +51,22 @@ def _pool(pid: int):
     return ThreadPoolExecutor(threads), threads
 
 
-def _row_chunks(rows: np.ndarray, count: int) -> SimpleNamespace:
-    """rows in count chunks, applied as rows is: ``dot(v, out)`` is rows @ v into
-    out, bit for bit one single-threaded dot, ``T.dot(w)`` is w @ rows, the chunks'
-    products added in order. The caller applies the first chunk, the pool the rest."""
-    edges = [16 * (len(rows) // 16 * i // count) for i in range(count)] + [len(rows)]
-    slices = [slice(a, b) for a, b in zip(edges, edges[1:])]
+def _split(rows: np.ndarray):
+    """rows, or once each half holds SPLIT_CELLS cells its two halves, applied as rows
+    is: ``dot(v, out)`` is rows @ v into out, bit for bit one single-threaded dot,
+    ``T.dot(w)`` is w @ rows, the first half's product plus the second's. The caller
+    applies the first half, the pool the second."""
+    cut = 16 * (len(rows) // 32)
+    if cut * rows.shape[1] < SPLIT_CELLS:
+        return rows
+    first, second = slice(0, cut), slice(cut, None)
 
-    def run(call):  # [call(sl) for each chunk's slice]; every call is done on return
-        futures = [_pool(os.getpid())[0].submit(call, sl) for sl in slices[1:]]
+    def run(call):  # (call(first), call(second)); both are done on return
+        future = _pool(os.getpid())[0].submit(call, second)
         try:
-            return [call(slices[0])] + [future.result() for future in futures]
+            return call(first), future.result()
         finally:
-            for future in futures:
-                future.exception()
+            future.exception()
 
     def forward(v, out):
         run(lambda sl: rows[sl].dot(v, out[sl]))
@@ -144,8 +141,8 @@ class SensingEnsemble:
         return self._draw(l)
 
     def _draw(self, l: int) -> np.ndarray:
-        future, j = self._ahead.pop(l, (None, 0))  # drawn ahead by a lazy pass?
-        return self._fill(self._generator(l)) if future is None else future.result()[j]
+        future = self._ahead.pop(l, None)  # drawn ahead by a lazy pass?
+        return self._fill(self._generator(l)) if future is None else future.result()
 
     def _generator(self, l: int) -> np.random.Generator:
         return np.random.default_rng(derive_seed(self.seed, [("snapshot", l)]))
@@ -176,8 +173,8 @@ class SensingEnsemble:
 
         A cached ensemble is one block, a view of the flattened (p*m, n)
         stack built on the first call, so each application is one BLAS call
-        (or, from 2 * SPLIT_CELLS cells, one per ``_row_chunks``); a lazy one
-        yields p blocks, each snapshot regenerated once by ``matrix(l)``.
+        (or, from 2 * SPLIT_CELLS cells, one per ``_split`` half); a lazy one
+        yields p blocks, each snapshot regenerated once, drawn ahead by ``_sweep``.
         Every call counts one operator pass.
         """
         self.operator_passes += 1
@@ -185,26 +182,22 @@ class SensingEnsemble:
             stacked = self.stacked()
             if stacked is None:
                 return self._sweep()
-            rows = stacked.reshape(self.p * self.m, self.n)
-            count = len(rows) // (16 * -(-SPLIT_CELLS // (16 * self.n)))  # chunks, see SPLIT_CELLS
-            self._blocks = ((slice(0, self.p), rows if count < 2 else _row_chunks(rows, count)),)
+            self._blocks = ((slice(0, self.p), _split(stacked.reshape(self.p * self.m, self.n))),)
         return self._blocks
 
     def _sweep(self) -> Iterator[tuple[slice, np.ndarray]]:
-        """The lazy blocks in order, seeded here and filled ahead on pool threads."""
-        per_task = -(-DRAW_TASK_CELLS // (self.m * self.n))
-        drawn = min(per_task, self.p)  # matrix(l) draws the first task here
+        """The lazy blocks in order, seeded here and filled ahead with the same bits on
+        pool threads, one snapshot per task and at most two tasks per thread in flight."""
+        drawn = 1  # matrix(l) draws the first snapshot here
         pool, threads = _pool(os.getpid())
         try:
             for l in range(self.p):
-                while drawn < min(l + 2 * threads * per_task, self.p):
-                    task = range(drawn, min(drawn + per_task, self.p))
-                    future = pool.submit(list, map(self._fill, [self._generator(k) for k in task]))
-                    self._ahead.update((k, (future, j)) for j, k in enumerate(task))
-                    drawn = task.stop
+                while drawn < min(l + 2 * threads, self.p):
+                    self._ahead[drawn] = pool.submit(self._fill, self._generator(drawn))
+                    drawn += 1
                 yield slice(l, l + 1), self.matrix(l)
         finally:  # left early: cancel the fills not begun, wait for the running ones
-            for future, _ in [self._ahead.pop(k) for k in range(drawn) if k in self._ahead]:
+            for future in [self._ahead.pop(k) for k in range(drawn) if k in self._ahead]:
                 future.cancel() or future.exception()
 
 

@@ -20,12 +20,10 @@ also returns f and the image A xi: each block of rows gives its part of
 A xi, then ``residual_block`` its part of r and of A^T (gamma * r), so a
 lazy ensemble regenerates each A_l once per evaluation; ``residual_terms``
 then forms the gradients and f on whole arrays, as it does after each
-solver step. The summation order follows the blocks: one BLAS gemv on the
-cached (p*m, n) stack or per row chunk of a large one (chunks set by its
-shape, added in order), ascending snapshot order on a lazy ensemble. For
-one ensemble and BLAS build (on a fixed BLAS thread count), whatever the
-CPU count, every result repeats bit for bit; across operator shapes or BLAS
-builds, results may differ in the last bits.
+solver step. Sums follow the order of the blocks, so for one ensemble and
+BLAS build (on a fixed BLAS thread count), whatever the CPU count, every
+result repeats bit for bit; across operator shapes or BLAS builds, results
+may differ in the last bits.
 """
 
 from __future__ import annotations

@@ -33,8 +33,7 @@ gradients) and the state carries that evaluation into the next step. The
 gain step needs only the carried A xi; one pass over the operator then gives
 A g and the new point's evaluation, in either step mode and on either shape,
 with A xi' = A xi - mu_xi A g by recurrence: a cached pass reads the stack
-twice (on every CPU from 2 * ``model.SPLIT_CELLS`` cells, as the imaging
-demo's), a lazy pass makes three block products per regenerated snapshot. A
+twice, a lazy pass makes three block products per regenerated snapshot. A
 k-iteration solve, with the start's adjoint and evaluation, applies the
 operator exactly k + 2 times; a zero direction still costs its pass.
 

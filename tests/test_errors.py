@@ -210,3 +210,10 @@ def test_solve_checks_the_snapshots_for_finite_entries_once(monkeypatch, mode, c
                           max_iterations=5)
     assert solve(inst.ensemble, inst.y, config).iterations == 5
     assert calls.count(("snapshots", True)) == 1
+
+
+def test_fixed_step_solve_from_a_zero_backprojection_is_parameter_error():
+    # A^T y = 0 while f0 = 0.5, so the gain step mu * m / ||xi_0||^2 has no scale
+    ensemble = SensingEnsemble.from_matrices(np.array([[[1.0], [1.0]]]))
+    with pytest.raises(ParameterError, match="zero initial signal estimate"):
+        solve(ensemble, np.array([[1.0, -1.0]]), SolverConfig(step_mode=FIXED, mu=1e-3))

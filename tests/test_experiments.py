@@ -103,7 +103,6 @@ def test_workers_match_serial():
 def test_lazy_workers_after_a_lazy_sweep_in_the_parent_match_serial(monkeypatch):
     # forked workers inherit the parent's draw-ahead pool without its threads
     monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 0)
-    monkeypatch.setattr("blindcal.model.DRAW_TASK_CELLS", 1)
     sense(generate_ensemble(12, 6, 16, "gaussian", 5), np.ones(12), np.ones(6))
     spec = PhaseGridSpec(n=12, m=6, p_values=(2, 16), rho_values=(0.01,),
                          trials_per_cell=2, base_seed=3, max_iterations=100)

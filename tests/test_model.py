@@ -312,12 +312,10 @@ def test_ensemble_rejects_unknown_distribution():
 # ---------------------------------------------------------------------------
 
 def lazy_draw_ahead_ensemble(monkeypatch, distribution="gaussian"):
-    """A lazy ensemble of two snapshots per draw-ahead task, p past the window."""
-    n, m = 6, 4
+    """A lazy ensemble drawn ahead one snapshot per task, p past the window."""
     monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 1)
-    monkeypatch.setattr("blindcal.model.DRAW_TASK_CELLS", 2 * m * n)
-    window = 2 * model._pool(os.getpid())[1] * 2  # two tasks per pool thread
-    return generate_ensemble(n, m, 2 * window + 3, distribution, seed=21)
+    window = 2 * model._pool(os.getpid())[1]  # two snapshots per pool thread
+    return generate_ensemble(6, 4, 2 * window + 3, distribution, seed=21)
 
 
 def serial_blocks(ensemble):
@@ -399,16 +397,16 @@ def test_lazy_sweep_seeds_and_yields_in_order_on_the_calling_thread(monkeypatch)
     assert {thread for *_, thread in calls} == {caller}
     assert [l for name, l, _ in calls if name == "matrix"] == 2 * list(range(e.p))
     assert sum(name == "derive_seed" for name, *_ in calls) == 2 * e.p
-    # each sweep fills its first task of two snapshots here, the rest on the pool
-    assert len(fills) == 2 * e.p and fills.count(caller) == 2 * 2
+    # each sweep fills its first snapshot here, the rest on the pool
+    assert len(fills) == 2 * e.p and fills.count(caller) == 2
 
 
 # ---------------------------------------------------------------------------
-# large cached stacks applied in row chunks on the pool
+# large cached stacks applied in two halves, one on the pool
 # ---------------------------------------------------------------------------
 
 def split_ensemble(monkeypatch):
-    """A cached (104, 16) stack, split in five chunks of 16 rows and one of 24."""
+    """A cached (104, 16) stack, split in halves of 48 and 56 rows."""
     monkeypatch.setattr("blindcal.model.SPLIT_CELLS", 16 * 16)
     return generate_ensemble(16, 8, 13, "gaussian", seed=31)
 
@@ -417,7 +415,7 @@ def pool_of(monkeypatch, pool, threads):
     monkeypatch.setattr("blindcal.model._pool", lambda pid: (pool, threads))
 
 
-@pytest.mark.parametrize("p, chunks", [(1, 1), (2, 2), (3, 3), (7, 7)])
+@pytest.mark.parametrize("p, chunks", [(1, 1), (2, 2), (3, 2), (7, 2)])
 def test_split_starts_at_twice_the_split_size(monkeypatch, p, chunks):
     monkeypatch.setattr("blindcal.model.SPLIT_CELLS", 16 * 16)
     e = generate_ensemble(16, 16, p, "gaussian", seed=3)  # 16 rows, 256 cells a snapshot
@@ -426,7 +424,7 @@ def test_split_starts_at_twice_the_split_size(monkeypatch, p, chunks):
     if chunks == 1:
         assert isinstance(rows, np.ndarray) and np.shares_memory(rows, e.stacked())
         return
-    with ThreadPoolExecutor(1) as pool:  # the caller applies one chunk, the pool the rest
+    with ThreadPoolExecutor(1) as pool:  # the caller applies one half, the pool the other
         submitted, submit = [], pool.submit
         monkeypatch.setattr(pool, "submit", lambda *a: submitted.append(a) or submit(*a))
         pool_of(monkeypatch, pool, 1)
@@ -441,7 +439,7 @@ def test_split_forward_keeps_the_bits_and_adjoint_adds_chunks_in_order(monkeypat
     rng = np.random.default_rng(5)
     v, w = rng.standard_normal(e.n), rng.standard_normal((e.p, e.m))
     np.testing.assert_array_equal(forward(e, v).reshape(-1), stack.dot(v))
-    edges, flat = (0, 16, 32, 48, 64, 80, 104), w.reshape(-1)
+    edges, flat = (0, 48, 104), w.reshape(-1)
     in_order = np.zeros(e.n)
     for a, b in zip(edges, edges[1:]):
         in_order += flat[a:b].dot(stack[a:b])
