@@ -7,8 +7,8 @@ projected gradient descent from a backprojection initialisation.
 
 from .errors import (BlindcalError, DimensionError, DivergenceError, FormatError,
                      ParameterError, SingularityError, TheoryRangeWarning)
-from .geometry import (NeighbourhoodSpec, delta, delta_F, draw_gain_perturbation,
-                       in_neighbourhood, project_C_rho, project_zero_sum)
+from .geometry import (delta, delta_F, draw_gain_perturbation, in_neighbourhood,
+                       project_C_rho, project_zero_sum)
 from .model import GroundTruth, SensingEnsemble, generate_ensemble, sense
 from .objective import (GradientPair, expected_gradients, expected_hessian,
                         expected_objective, gradients, hessian, objective_value)
@@ -20,8 +20,8 @@ from .solver import (ContractionDiagnostics, SolveResult, SolverConfig, SolverSt
 __all__ = [
     "BlindcalError", "DimensionError", "DivergenceError", "FormatError",
     "ParameterError", "SingularityError", "TheoryRangeWarning",
-    "NeighbourhoodSpec", "delta", "delta_F", "draw_gain_perturbation",
-    "in_neighbourhood", "project_C_rho", "project_zero_sum",
+    "delta", "delta_F", "draw_gain_perturbation", "in_neighbourhood",
+    "project_C_rho", "project_zero_sum",
     "GroundTruth", "SensingEnsemble", "generate_ensemble", "sense",
     "GradientPair", "expected_gradients", "expected_hessian", "expected_objective",
     "gradients", "hessian", "objective_value",

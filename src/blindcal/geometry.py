@@ -13,7 +13,6 @@ are equivalent on C_rho up to factors (1 - rho) and (1 + 2 rho).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,32 +185,22 @@ def draw_gain_perturbation(m: int, rho: float, seed: int) -> np.ndarray:
             return 1.0 + (rho / linf) * w
 
 
-@dataclass(frozen=True)
-class NeighbourhoodSpec:
-    """Parameters of the basin D_{kappa,rho}: an ellipsoid around the truth
-    intersected with R^n x C_rho."""
-
-    kappa: float
-    rho: float
-    x_star_norm: float
-
-    def __post_init__(self):
-        check_rho(self.rho)
-        if not (self.kappa >= 0.0 and self.x_star_norm >= 0.0):  # NaN fails
-            raise ParameterError("kappa and x_star_norm must be nonnegative")
-
-
-# Additive slack for boundary membership tests: floating-point iterates that
-# sit exactly on the boundary must not flip the answer.
+# Slack for boundary membership tests, relative to the scale of each test, so
+# that floating-point iterates sitting exactly on the boundary do not flip the
+# answer and the answer does not depend on the units of the signal.
 _MEMBERSHIP_SLACK = 1e-9
 
 
-def in_neighbourhood(point, spec: NeighbourhoodSpec, truth: GroundTruth) -> bool:
-    """Closed-set membership test for D_{kappa,rho} with 1e-9 slack."""
-    xi, gamma = as_point(point)
+def in_neighbourhood(point, kappa: float, truth: GroundTruth) -> bool:
+    """Closed-set membership test for D_{kappa,rho}, with rho and ||x*|| read
+    from truth: sum(gamma) = m to 1e-9 m, max|gamma - 1| <= rho + 1e-9 and
+    delta <= (kappa^2 + 1e-9) ||x*||^2. kappa must be nonnegative."""
+    if not kappa >= 0.0:  # NaN fails
+        raise ParameterError(f"kappa must be nonnegative, got {kappa!r}")
+    _, gamma = as_point(point)
     m = gamma.size
     if abs(float(np.sum(gamma)) - m) > _MEMBERSHIP_SLACK * m:
         return False
-    if float(np.max(np.abs(gamma - 1.0))) > spec.rho + _MEMBERSHIP_SLACK:
+    if float(np.max(np.abs(gamma - 1.0))) > truth.rho + _MEMBERSHIP_SLACK:
         return False
-    return delta(point, truth) <= spec.kappa ** 2 * spec.x_star_norm ** 2 + _MEMBERSHIP_SLACK
+    return delta(point, truth) <= (kappa ** 2 + _MEMBERSHIP_SLACK) * truth.x_star_sq

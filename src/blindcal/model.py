@@ -104,7 +104,7 @@ class SensingEnsemble:
     p: int
     distribution: str = GAUSSIAN
     seed: int = 0
-    _cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _cache: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _blocks: tuple | None = field(default=None, init=False, repr=False, compare=False)
     operator_passes: int = field(default=0, init=False, repr=False, compare=False)
     _ahead: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -119,13 +119,15 @@ class SensingEnsemble:
 
     @classmethod
     def from_matrices(cls, matrices) -> SensingEnsemble:
-        """An ensemble holding explicit matrices, given stacked as (p, m, n)."""
+        """An ensemble holding explicit matrices, given stacked as (p, m, n): the one
+        way to supply matrices, checked to be 3-d with no empty axis and finite."""
         matrices = np.ascontiguousarray(matrices, dtype=float)
         if matrices.ndim != 3:
             raise DimensionError(
                 f"stacked matrices must be 3-d (p, m, n), got ndim={matrices.ndim}")
-        p, m, n = matrices.shape
-        return cls(n=n, m=m, p=p, _cache=matrices)
+        ensemble = cls(*matrices.shape[::-1])
+        ensemble._cache = check_array(matrices, matrices.shape, "stacked matrices", finite=True)
+        return ensemble
 
     @property
     def underdetermined(self) -> bool:

@@ -12,7 +12,7 @@ from blindcal.experiments import (PhaseGridSpec, RateComparisonSpec, check_conce
                                   draw_instance, draw_signal_ball, draw_smooth_signal,
                                   run_imaging_demo, run_init_study, run_phase_transition,
                                   run_rate_comparison)
-from blindcal.geometry import NeighbourhoodSpec, draw_gain_perturbation, project_C_rho
+from blindcal.geometry import draw_gain_perturbation, in_neighbourhood, project_C_rho
 from blindcal.model import GroundTruth, SensingEnsemble, generate_ensemble
 from blindcal.seeding import derive_seed
 from blindcal.objective import gradients
@@ -60,9 +60,10 @@ ENTRY_POINTS = [
      dict(x=np.ones(3), d=np.ones(2), rho=0.3), dict(rho="rho")),
     ("project_C_rho", lambda tmp, **k: project_C_rho(**k),
      dict(gamma=np.ones(3), rho=0.3), dict(rho="rho")),
-    ("NeighbourhoodSpec", lambda tmp, **k: NeighbourhoodSpec(**k),
-     dict(kappa=0.1, rho=0.3, x_star_norm=1.0),
-     dict(rho="rho", kappa="nonnegative", x_star_norm="nonnegative")),
+    ("in_neighbourhood", lambda tmp, **k: in_neighbourhood(**k),
+     dict(point=(np.ones(3), np.ones(2)), kappa=0.1,
+          truth=GroundTruth(x=np.ones(3), d=np.ones(2), rho=0.3)),
+     dict(kappa="nonnegative")),
     ("SolverConfig", lambda tmp, **k: SolverConfig(**k),
      dict(step_mode=FIXED, mu=1e-3, rho=0.3, objective_tolerance=1e-7, max_iterations=10),
      dict(step_mode="step_mode", mu="positive", rho="rho", objective_tolerance="positive",
@@ -210,6 +211,14 @@ def test_solve_checks_the_snapshots_for_finite_entries_once(monkeypatch, mode, c
                           max_iterations=5)
     assert solve(inst.ensemble, inst.y, config).iterations == 5
     assert calls.count(("snapshots", True)) == 1
+
+
+@pytest.mark.parametrize("bad", [NAN, INF], ids=["nan", "inf"])
+def test_non_finite_explicit_matrix_is_parameter_error(bad):
+    matrices = np.ones((2, 3, 4))
+    matrices[1, 2, 0] = bad
+    with pytest.raises(ParameterError, match="stacked matrices"):
+        SensingEnsemble.from_matrices(matrices)
 
 
 def test_fixed_step_solve_from_a_zero_backprojection_is_parameter_error():

@@ -9,9 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from blindcal import geometry
 from blindcal.errors import DimensionError, ParameterError
-from blindcal.geometry import (NeighbourhoodSpec, _breakpoint_projection, delta,
-                               delta_F, draw_gain_perturbation, in_neighbourhood,
-                               project_C_rho, project_zero_sum)
+from blindcal.geometry import (_breakpoint_projection, delta, delta_F, draw_gain_perturbation,
+                               in_neighbourhood, project_C_rho, project_zero_sum)
 from blindcal.model import GroundTruth
 from blindcal.objective import expected_objective
 
@@ -507,8 +506,7 @@ def test_gain_perturbation_rejects_small_m():
 
 def test_truth_in_any_neighbourhood():
     t = _truth()
-    spec = NeighbourhoodSpec(kappa=0.0, rho=t.rho, x_star_norm=float(np.linalg.norm(t.x_star)))
-    assert in_neighbourhood((t.x_star, t.d_star), spec, t)
+    assert in_neighbourhood((t.x_star, t.d_star), 0.0, t)
 
 
 def test_gain_outside_box_excluded():
@@ -516,15 +514,13 @@ def test_gain_outside_box_excluded():
     gamma = np.ones(t.m)
     gamma[0] += 0.4  # deviation rho + 0.1, zero-sum shape keeps sum(gamma) = m
     gamma[1] -= 0.4
-    spec = NeighbourhoodSpec(kappa=10.0, rho=0.3, x_star_norm=float(np.linalg.norm(t.x_star)))
-    assert not in_neighbourhood((np.zeros(t.n), gamma), spec, t)
+    assert not in_neighbourhood((np.zeros(t.n), gamma), 10.0, t)
 
 
 def test_gain_off_the_simplex_excluded():
     t = _truth(rho=0.3)
     gamma = np.full(t.m, 1.01)  # inside the box, but sum(gamma) = 1.01 m
-    spec = NeighbourhoodSpec(kappa=10.0, rho=0.3, x_star_norm=float(np.linalg.norm(t.x_star)))
-    assert not in_neighbourhood((t.x_star, gamma), spec, t)
+    assert not in_neighbourhood((t.x_star, gamma), 10.0, t)
 
 
 def test_boundary_point_included():
@@ -535,5 +531,12 @@ def test_boundary_point_included():
     offset = np.zeros(t.n)
     offset[0] = kappa * norm
     point = (t.x_star + offset, t.d_star)
-    spec = NeighbourhoodSpec(kappa=kappa, rho=t.rho, x_star_norm=norm)
-    assert in_neighbourhood(point, spec, t)
+    assert in_neighbourhood(point, kappa, t)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_membership_does_not_depend_on_the_signal_units(scale):
+    truth = _truth()
+    t = GroundTruth(x=scale * truth.x, d=truth.d, rho=truth.rho)
+    assert in_neighbourhood((t.x_star, t.d_star), 0.0, t)
+    assert not in_neighbourhood((np.zeros(t.n), t.d_star), 0.1, t)  # delta = ||x*||^2

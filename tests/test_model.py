@@ -155,6 +155,11 @@ def test_from_matrices_rejects_non_stacked_input():
         SensingEnsemble.from_matrices(np.eye(2))
 
 
+def test_explicit_matrices_enter_only_through_from_matrices():
+    with pytest.raises(TypeError):
+        SensingEnsemble(4, 2, 3, _cache=np.zeros((1, 1, 1)))
+
+
 def test_operator_shared_with_objective():
     import blindcal.model as model
     import blindcal.objective as objective
