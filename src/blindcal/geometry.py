@@ -68,10 +68,14 @@ def project_C_rho(gamma, rho: float) -> np.ndarray:
 
     Returns 1 + e, which satisfies both constraints to near machine accuracy.
     """
-    check_rho(rho)
-    gamma = np.asarray(gamma, dtype=float)
+    rho, gamma = check_rho(rho), np.asarray(gamma, dtype=float)
     if gamma.ndim != 1 or not gamma.size:
         raise DimensionError(f"gamma must be a non-empty vector, got shape {gamma.shape}")
+    return _project_C_rho(gamma, rho)
+
+
+def _project_C_rho(gamma: np.ndarray, rho: float) -> np.ndarray:
+    """``project_C_rho`` of a non-empty float vector, for a rho already checked."""
     if rho == 0.0:
         return np.ones(gamma.size)
     z = gamma - 1.0

@@ -120,7 +120,9 @@ class SensingEnsemble:
     @classmethod
     def from_matrices(cls, matrices) -> SensingEnsemble:
         """An ensemble holding explicit matrices, given stacked as (p, m, n): the one
-        way to supply matrices, checked to be 3-d with no empty axis and finite."""
+        way to supply matrices, checked to be 3-d with no empty axis and finite. A
+        float64 C-contiguous stack is held without a copy, so a later write to it
+        changes the operator unchecked; pass a copy to keep the operator fixed."""
         matrices = np.ascontiguousarray(matrices, dtype=float)
         if matrices.ndim != 3:
             raise DimensionError(

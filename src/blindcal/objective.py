@@ -20,10 +20,10 @@ also returns f and the image A xi: each block of rows gives its part of
 A xi, then ``residual_block`` its part of r and of A^T (gamma * r), so a
 lazy ensemble regenerates each A_l once per evaluation; ``residual_terms``
 then forms the gradients and f on whole arrays, as it does after each
-solver step. Sums follow the order of the blocks, so for one ensemble and
-BLAS build (on a fixed BLAS thread count), whatever the CPU count, every
-result repeats bit for bit; across operator shapes or BLAS builds, results
-may differ in the last bits.
+solver step. Sums follow the order of the blocks, so for one ensemble, BLAS
+build (on a fixed BLAS thread count) and Python version, whatever the CPU
+count, every result repeats bit for bit; across operator shapes, BLAS builds
+or Python versions, results may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -76,27 +76,26 @@ def residual_block(rows, ax_b, gamma, y_b, r_b, image_b) -> np.ndarray:
     return rows.T.dot(np.multiply(gamma, r_b, image_b).reshape(-1))
 
 
-def residual_terms(ax, r, back, image) -> tuple:
+def residual_terms(ax, r, back, weights) -> tuple:
     """grad_xi, grad_gamma, P grad_gamma and f, the first four fields of a
-    ``GradientPair``, from A xi, the residual r (overwritten), A^T (gamma * r)
-    and a (p, m) scratch image."""
-    p, m = r.shape
-    scale = 1.0 / (m * p)
-    objective = float(np.add.reduce(np.multiply(r, r, out=image), None)) / (2.0 * m * p)
-    r *= ax
-    grad_gamma = scale * np.add.reduce(r, 0)
-    return scale * back, grad_gamma, grad_gamma - np.add.reduce(grad_gamma) / m, objective
+    ``GradientPair``, from A xi, the residual r (overwritten by r * A xi),
+    A^T (gamma * r) and p weights 1/(mp): f is one dot of the flat r, grad_gamma
+    the dot weights . (r * A xi), and its mean is a Python sum."""
+    (p, m), flat = r.shape, r.reshape(-1)
+    objective = float(flat.dot(flat)) / (2.0 * m * p)
+    grad_gamma = weights.dot(np.multiply(r, ax, r))
+    return (1.0 / (m * p)) * back, grad_gamma, grad_gamma - sum(grad_gamma.tolist()) / m, objective
 
 
 def gradients(ensemble, y, point) -> GradientPair:
     """Both gradient blocks, f and A xi, from one sweep over the operator."""
     xi, gamma, y = _check_shapes(ensemble, y, point)
     ax, r, image = (np.empty((ensemble.p, ensemble.m)) for _ in range(3))
-    back = np.zeros(ensemble.n)
+    back, weights = np.zeros(ensemble.n), np.full(ensemble.p, 1.0 / (ensemble.m * ensemble.p))
     for sl, rows in ensemble.blocks():
         rows.dot(xi, ax[sl].reshape(-1))
         back += residual_block(rows, ax[sl], gamma, y[sl], r[sl], image[sl])
-    return GradientPair(*residual_terms(ax, r, back, image), ax)
+    return GradientPair(*residual_terms(ax, r, back, weights), ax)
 
 
 def hessian(ensemble, y, point) -> np.ndarray:

@@ -23,11 +23,6 @@ On an underdetermined ensemble (m*p < n + m - 1,
 and d, so a stop that would be CONVERGED is UNDERDETERMINED; budget and
 stagnation stops keep their reasons.
 
-Note on the line searches: each step is the exact minimiser of the 1-d
-quadratic along the descent direction, computed in closed form from the
-residuals. Because the directions are the gradient blocks themselves, the
-numerators reduce to mp times the squared direction norms.
-
 Operator cost: every iterate is evaluated once (f, A xi and both
 gradients) and the state carries that evaluation into the next step. The
 gain step needs only the carried A xi; one pass over the operator then gives
@@ -37,16 +32,18 @@ twice, a lazy pass makes three block products per regenerated snapshot. A
 k-iteration solve, with the start's adjoint and evaluation, applies the
 operator exactly k + 2 times; a zero direction still costs its pass.
 
-Allocation and floating-point state: the descent loop, ``_descend``, is
-built once per solve and run for one step by ``iterate``, on y and a state
-its caller checked. It allocates its work arrays and enters
-``np.errstate(over="ignore", invalid="ignore")`` once. The iterate, its
-evaluation and the steps are its local variables, which a trace record
-takes as values; it writes no state it is handed and builds the returned
-``SolverState`` and ``GradientPair`` once, at the stop. An iteration
+Allocation and floating-point state: the descent loop, ``_descend``, is built
+once per solve and run for one step by ``iterate``, on y and a state its
+caller checked. It allocates its work arrays and the weights of
+``residual_terms`` and enters ``np.errstate(over="ignore", invalid="ignore")``
+once; each squared norm is one dot of a flat work array, and the projection
+skips ``project_C_rho``'s checks of what the config and the loop fixed. The
+iterate, its evaluation and the steps are local variables, which a trace
+record takes as values; it writes no state it is handed and builds the
+returned ``SolverState`` and ``GradientPair`` once, at the stop. An iteration
 allocates vectors of length n or m only (the new iterate, the projection's
-temporaries, A^T (gamma * r), the gradients). Overflow, and its inf - inf,
-signals divergence: a non-finite iterate or objective raises DivergenceError.
+temporaries, A^T (gamma * r), the gradients). Overflow and its inf - inf
+signal divergence: a non-finite iterate or objective raises DivergenceError.
 """
 
 from __future__ import annotations
@@ -188,8 +185,8 @@ def initialise(ensemble, y) -> tuple[np.ndarray, np.ndarray]:
 
 def _step(direction: np.ndarray, image: np.ndarray, mp: int) -> float:
     """Exact step mp ||direction||^2 / ||image||^2, or 0 when the image
-    vanishes; the image is squared in place."""
-    den = float(np.add.reduce(np.multiply(image, image, image), None))
+    vanishes; the image is flat, so each squared norm is one dot."""
+    den = float(image.dot(image))
     return mp * float(direction.dot(direction)) / den if den > 0.0 else 0.0
 
 
@@ -205,9 +202,9 @@ def exact_line_search(state: SolverState, ensemble, y) -> tuple[float, float]:
     not evaluated again.
     """
     grads = state.evaluation or gradients(ensemble, y, (state.xi, state.gamma))
-    mp = ensemble.m * ensemble.p
-    g, h = grads.grad_xi, grads.grad_gamma_projected
-    return _step(g, state.gamma * forward(ensemble, g), mp), _step(h, grads.ax * h, mp)
+    mp, g, h = ensemble.m * ensemble.p, grads.grad_xi, grads.grad_gamma_projected
+    image_g, image_h = state.gamma * forward(ensemble, g), grads.ax * h
+    return _step(g, image_g.reshape(-1), mp), _step(h, image_h.reshape(-1), mp)
 
 
 def _finite(v: np.ndarray, zeros: np.ndarray, iteration: int) -> np.ndarray:
@@ -242,7 +239,7 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
     lazy = ensemble.stacked() is None
     # a block's rows of A g (flat), A xi, y, r, image: the stack's made once, a sweep's per step
     stack_block, image_flat = [(ag.reshape(-1), ax, y, r, image)], image.reshape(-1)
-    zeros_n, zeros_m = np.zeros(ensemble.n), np.zeros(m)
+    zeros_n, zeros_m, weights = np.zeros(ensemble.n), np.zeros(m), np.full(p, 1.0 / mp)
     recent = deque([f], maxlen=STAGNATION_WINDOW + 1)
     stop = None
     with np.errstate(over="ignore", invalid="ignore"):  # see the module docstring
@@ -255,10 +252,11 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
             else:
                 previous, k = f, k + 1
                 if line_search:
-                    mu_gamma = _step(h, np.multiply(ax, h, image), mp)
+                    np.multiply(ax, h, image)
+                    mu_gamma = _step(h, image_flat, mp)
                 gamma_next = _finite(gamma - mu_gamma * h, zeros_m, k)
-                if project:
-                    gamma_next = geometry.project_C_rho(gamma_next, rho)
+                if project:  # rho checked by the config, gamma_next a float vector
+                    gamma_next = geometry._project_C_rho(gamma_next, rho)
                 bv, bu, parts = 0.0, 0.0, zip(ag, ax, y, r, image) if lazy else stack_block
                 for (_, rows), (ag_b, ax_b, y_b, r_b, image_b) in zip(ensemble.blocks(), parts):
                     rows.dot(g, ag_b)
@@ -266,7 +264,8 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
                         bv += residual_block(rows, ax_b, gamma_next, y_b, r_b, image_b)
                         bu += rows.T.dot(gamma_next * gamma_next * ag_b)
                 if line_search:
-                    mu_xi = _step(g, np.multiply(gamma, ag, image), mp)
+                    np.multiply(gamma, ag, image)
+                    mu_xi = _step(g, image_flat, mp)
                 xi_next = _finite(xi - mu_xi * g, zeros_n, k)
                 np.subtract(ax, np.multiply(mu_xi, ag, ag), ax)
                 np.subtract(np.multiply(gamma_next, ax, r), y, r)
@@ -275,7 +274,7 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
                 else:  # the cached stack's second read
                     np.multiply(gamma_next, r, image)
                     back = rows.T.dot(image_flat)
-                g, grad_gamma, h, f = residual_terms(ax, r, back, image)
+                g, grad_gamma, h, f = residual_terms(ax, r, back, weights)
                 if not math.isfinite(f):
                     raise DivergenceError(f"objective became non-finite at iteration {k}", k)
                 xi, gamma = xi_next, gamma_next

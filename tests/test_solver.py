@@ -12,7 +12,8 @@ from hypothesis.extra.numpy import arrays
 from blindcal import solver
 from blindcal.errors import DimensionError, DivergenceError, ParameterError, TheoryRangeWarning
 from blindcal.experiments import draw_instance, recovery_error, to_db
-from blindcal.geometry import delta, delta_F, draw_gain_perturbation, project_C_rho
+from blindcal.geometry import (delta, delta_F, draw_gain_perturbation, in_neighbourhood,
+                               project_C_rho)
 from blindcal.model import GroundTruth, SensingEnsemble, generate_ensemble, sense
 from blindcal.objective import gradients, objective_value
 from blindcal.solver import (CONVERGED, FIXED, LINE_SEARCH, MAX_ITERATIONS,
@@ -400,6 +401,37 @@ def test_fixed_step_distance_decay_in_theory_range():
     assert deltas[-1] < deltas[0]
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("rho", [0.01, 0.05])
+def test_fixed_steps_obey_the_contraction_guarantee(rho, seed):
+    # the paper's theorem: from the backprojection start, within delta_0 ||x*|| of x*,
+    # a fixed step mu < mu_max keeps every iterate in D_{kappa,rho} and contracts the
+    # squared distance by at least `factor` per step
+    inst = draw_instance(64, 16, 256, rho, seed)
+    truth, ensemble, y = inst.truth, inst.ensemble, inst.y
+    xi, gamma = initialise(ensemble, y)
+    norm = float(np.sqrt(truth.x_star_sq))
+    delta_0 = float(np.linalg.norm(xi - truth.x_star)) / norm
+    kappa = default_kappa(delta_0, rho)
+    mu = 0.5 * contraction_diagnostics(rho, delta_0, kappa, norm, truth.m, 0.0).mu_max
+    diag = contraction_diagnostics(rho, delta_0, kappa, norm, truth.m, mu)
+    assert diag.eta > 0
+    config = SolverConfig(step_mode=FIXED, mu=mu, rho=rho, objective_tolerance=1e-300,
+                          max_iterations=500)
+    result = solve(ensemble, y, config, truth=truth)
+    trace = result.trace
+    assert result.stop_reason == MAX_ITERATIONS and trace.iteration == list(range(501))
+    assert all(d <= trace.delta[0] * diag.factor ** k
+               for k, d in zip(trace.iteration, trace.delta))
+    grads = gradients(ensemble, y, (xi, gamma))
+    state = SolverState(xi, gamma, 0, grads.objective, evaluation=grads)
+    fixed = (mu, mu * truth.m / float(xi @ xi))
+    assert in_neighbourhood((xi, gamma), kappa, truth)
+    for _ in range(500):
+        state = iterate(state, config, ensemble, y, fixed)
+        assert in_neighbourhood((state.xi, state.gamma), kappa, truth)
+
+
 def test_gamma_stays_feasible_without_projection():
     inst = draw_instance(32, 8, 64, 0.2, seed=60)
     config = SolverConfig(step_mode=LINE_SEARCH, rho=0.2,
@@ -418,21 +450,25 @@ def test_gamma_stays_feasible_without_projection():
 def reference_solve(ensemble, y, config):
     """The descent loop written out on the stacked rows, in the solver's
     order: the gain step from the carried A xi, then A g, the signal step
-    with the pre-step gamma, and A xi' = A xi - mu_xi A g by recurrence."""
+    with the pre-step gamma, and A xi' = A xi - mu_xi A g by recurrence; and
+    with its reductions: each squared norm one flat dot, the gain gradient's
+    column sum a dot with p weights 1/(mp), and its mean a Python sum."""
     m, p = ensemble.m, ensemble.p
     mp = m * p
     rows = np.concatenate(list(ensemble.iter_matrices()))
     xi, gamma = initialise(ensemble, y)
     ax = rows.dot(xi).reshape(p, m)
+    weights = np.full(p, 1.0 / mp)
 
     def evaluate(ax, gamma):
         r = gamma * ax - y
         g = (1.0 / mp) * (gamma * r).reshape(-1).dot(rows)
-        grad_gamma = (1.0 / mp) * np.sum(r * ax, 0)
-        return float(np.sum(r * r)) / (2.0 * mp), g, grad_gamma - np.sum(grad_gamma) / m
+        grad_gamma = weights.dot(r * ax)
+        f = float(r.reshape(-1).dot(r.reshape(-1))) / (2.0 * mp)
+        return f, g, grad_gamma - sum(grad_gamma.tolist()) / m
 
     def step(direction, image):
-        den = float(np.sum(image * image))
+        den = float(image.reshape(-1).dot(image.reshape(-1)))
         return mp * float(direction.dot(direction)) / den if den > 0.0 else 0.0
 
     f, g, h = evaluate(ax, gamma)
