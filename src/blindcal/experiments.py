@@ -315,14 +315,15 @@ def run_imaging_demo(image_path, m: int, p: int | None, rho: float, seed: int = 
     :func:`build_instance` (so every channel sees the same matrices), and one
     shared gain profile of maximum deviation rho; p = None takes mp = 2n
     snapshots, and tol = None stops on the solver's scale-free default rule.
-    Channels are solved independently; the baseline fixes the gains to one
-    and solves the resulting least-squares problem, fully absorbing the
-    model error. With out_dir set, the reconstruction, the recovered gain
-    map, and a JSON error report are written there.
+    Channels are solved independently, by line search with Polak-Ribiere+
+    signal directions; the baseline fixes the gains to one and solves the
+    resulting least-squares problem, fully absorbing the model error. With
+    out_dir set, the reconstruction, the recovered gain map, and a JSON error
+    report are written there.
     """
     m = check_size(m, "m")
     config = SolverConfig(rho=rho, objective_tolerance=tol, max_iterations=max_iterations,
-                          record_trace=False)
+                          record_trace=False, conjugate=True)
     image = fileio.read_image(image_path)
     c, h, w = image.shape
     n = h * w

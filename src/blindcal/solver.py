@@ -6,12 +6,16 @@ solution) and the gains with the all-ones vector, then descends f with the
 signal gradient and the zero-sum-projected gain gradient. Steps come either
 from exact per-block line searches or from a fixed step pair
 ``(mu, mu * m / ||xi_0||^2)``; each gain update may be re-projected onto
-C_rho. A start below the objective tolerance has converged. Otherwise one
-stop block decides before each step, in this order: the budget is spent
-(max_iterations), f fell by less than STAGNATION_RTOL (relative) over the
-last STAGNATION_WINDOW iterations (stagnated), else the step is taken and
-the solve has converged if the objective stepped from was below the
-tolerance.
+C_rho. Line search may take Polak-Ribiere+ (PR+) signal directions
+(``SolverConfig.conjugate``): d = g + beta d_prev, restarted to d = g when
+<g, d> <= 0, with beta = max(0, <g, g - g_prev> / ||g_prev||^2), 0 if g_prev = 0;
+the traced mu_xi is the exact step along d, mp <g, d> / ||gamma * A d||^2, and
+beta = 0 is plain line search. A start below the objective tolerance has
+converged. Otherwise one stop block decides before each step, in this order:
+the budget is spent (max_iterations), f fell by less than STAGNATION_RTOL
+(relative) over the last STAGNATION_WINDOW iterations (stagnated), else the
+step is taken and the solve has converged if the objective stepped from was
+below the tolerance.
 
 The tolerance is ``objective_tolerance`` if given, else the scale-free
 ``RELATIVE_TOLERANCE * ||y||^2 / (2mp)`` (f at a zero signal), computed once
@@ -26,11 +30,12 @@ stagnation stops keep their reasons.
 Operator cost: every iterate is evaluated once (f, A xi and both
 gradients) and the state carries that evaluation into the next step. The
 gain step needs only the carried A xi; one pass over the operator then gives
-A g and the new point's evaluation, in either step mode and on either shape,
-with A xi' = A xi - mu_xi A g by recurrence: a cached pass reads the stack
-twice, a lazy pass makes three block products per regenerated snapshot. A
-k-iteration solve, with the start's adjoint and evaluation, applies the
-operator exactly k + 2 times; a zero direction still costs its pass.
+A d and the new point's evaluation, in either step mode, with or without
+PR+, and on either shape, with A xi' = A xi - mu_xi A d by recurrence: a
+cached pass reads the stack twice, a lazy pass makes three block products
+per regenerated snapshot. A k-iteration solve, with the start's adjoint and
+evaluation, applies the operator exactly k + 2 times; a zero direction still
+costs its pass.
 
 Allocation and floating-point state: the descent loop, ``_descend``, is built
 once per solve and run for one step by ``iterate``, on y and a state its
@@ -98,12 +103,15 @@ class SolverConfig:
     max_iterations: int = 100_000
     apply_C_rho_projection: bool = True
     record_trace: bool = True
+    conjugate: bool = False  # Polak-Ribiere+ signal directions, in line search only
 
     def __post_init__(self):
         if self.step_mode not in (LINE_SEARCH, FIXED):
             raise ParameterError(f"unknown step mode {self.step_mode!r}")
         if self.step_mode == FIXED:
             check_positive(self.mu, "mu (fixed step mode)")
+            if self.conjugate:
+                raise ParameterError("conjugate directions need line_search step mode")
         check_rho(self.rho)
         if self.objective_tolerance is not None:
             check_positive(self.objective_tolerance, "objective_tolerance")
@@ -117,6 +125,9 @@ class SolverState:
     ``evaluation`` is ``gradients`` at (xi, gamma) for the ensemble and data
     the state is iterated with, to rounding once a step carried A xi by
     recurrence; ``iterate`` carries it on. Left None, it is computed when needed.
+    ``direction``, the signal direction of the step that produced the state, and
+    ``direction_grad``, the gradient it was formed from, are PR+'s memory; None
+    in either makes the next step a steepest one.
     """
 
     xi: np.ndarray
@@ -126,6 +137,8 @@ class SolverState:
     mu_xi: float = 0.0
     mu_gamma: float = 0.0
     evaluation: GradientPair | None = field(default=None, repr=False, compare=False)
+    direction: np.ndarray | None = field(default=None, repr=False, compare=False)
+    direction_grad: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -183,11 +196,11 @@ def initialise(ensemble, y) -> tuple[np.ndarray, np.ndarray]:
     return xi0, np.ones(ensemble.m)
 
 
-def _step(direction: np.ndarray, image: np.ndarray, mp: int) -> float:
-    """Exact step mp ||direction||^2 / ||image||^2, or 0 when the image
-    vanishes; the image is flat, so each squared norm is one dot."""
+def _step(g: np.ndarray, d: np.ndarray, image: np.ndarray, mp: int) -> float:
+    """Exact step mp <g, d> / ||image||^2 along direction d of gradient g, or 0
+    when the image vanishes; the image is flat, so each squared norm is one dot."""
     den = float(image.dot(image))
-    return mp * float(direction.dot(direction)) / den if den > 0.0 else 0.0
+    return mp * float(g.dot(d)) / den if den > 0.0 else 0.0
 
 
 def exact_line_search(state: SolverState, ensemble, y) -> tuple[float, float]:
@@ -204,7 +217,7 @@ def exact_line_search(state: SolverState, ensemble, y) -> tuple[float, float]:
     grads = state.evaluation or gradients(ensemble, y, (state.xi, state.gamma))
     mp, g, h = ensemble.m * ensemble.p, grads.grad_xi, grads.grad_gamma_projected
     image_g, image_h = state.gamma * forward(ensemble, g), grads.ax * h
-    return _step(g, image_g.reshape(-1), mp), _step(h, image_h.reshape(-1), mp)
+    return _step(g, g, image_g.reshape(-1), mp), _step(h, h, image_h.reshape(-1), mp)
 
 
 def _finite(v: np.ndarray, zeros: np.ndarray, iteration: int) -> np.ndarray:
@@ -223,22 +236,24 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
     given, takes each thinned trace row.
 
     A step projects the gain step taken from the carried A xi. One pass over
-    ``blocks()`` gives A g, for mu_xi in line search and for the recurrence
-    A xi' = A xi - mu_xi A g, on a copy of the carried A xi. A lazy sweep's
-    block also adds bv = A_b^T (gamma' * r_b), r_b from the carried A xi, and
-    bu = A_b^T (gamma'^2 * A_b g): three block products per snapshot, and
-    A^T (gamma' * r') = bv - mu_xi bu. The cached stack takes one more read.
+    ``blocks()`` gives A d (d = g unless PR+), for mu_xi in line search and
+    for the recurrence A xi' = A xi - mu_xi A d, on a copy of the carried A xi.
+    A lazy sweep's block also adds bv = A_b^T (gamma' * r_b), r_b from the
+    carried A xi, and bu = A_b^T (gamma'^2 * A_b d): three block products per
+    snapshot, and A^T (gamma' * r') = bv - mu_xi bu. The cached stack takes
+    one more read.
     """
     m, p, xi, gamma, grads = ensemble.m, ensemble.p, state.xi, state.gamma, state.evaluation
     mp, rho, k, f = m * p, config.rho, state.iteration, state.objective
     line_search, project = config.step_mode == LINE_SEARCH, config.apply_C_rho_projection
+    conjugate, d, g_prev = config.conjugate, state.direction, state.direction_grad
     g, grad_gamma, h, ax = grads.grad_xi, grads.grad_gamma, grads.grad_gamma_projected, grads.ax
     mu_xi, mu_gamma = fixed_steps or (state.mu_xi, state.mu_gamma)
-    ag, r, image = (np.empty((p, m)) for _ in range(3))
+    ad, r, image = (np.empty((p, m)) for _ in range(3))
     ax = np.array(ax)  # a copy of the carried A xi, stepped in place by the recurrence
     lazy = ensemble.stacked() is None
-    # a block's rows of A g (flat), A xi, y, r, image: the stack's made once, a sweep's per step
-    stack_block, image_flat = [(ag.reshape(-1), ax, y, r, image)], image.reshape(-1)
+    # a block's rows of A d (flat), A xi, y, r, image: the stack's made once, a sweep's per step
+    stack_block, image_flat = [(ad.reshape(-1), ax, y, r, image)], image.reshape(-1)
     zeros_n, zeros_m, weights = np.zeros(ensemble.n), np.zeros(m), np.full(p, 1.0 / mp)
     recent = deque([f], maxlen=STAGNATION_WINDOW + 1)
     stop = None
@@ -253,21 +268,28 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
                 previous, k = f, k + 1
                 if line_search:
                     np.multiply(ax, h, image)
-                    mu_gamma = _step(h, image_flat, mp)
+                    mu_gamma = _step(h, h, image_flat, mp)
                 gamma_next = _finite(gamma - mu_gamma * h, zeros_m, k)
                 if project:  # rho checked by the config, gamma_next a float vector
                     gamma_next = geometry._project_C_rho(gamma_next, rho)
-                bv, bu, parts = 0.0, 0.0, zip(ag, ax, y, r, image) if lazy else stack_block
-                for (_, rows), (ag_b, ax_b, y_b, r_b, image_b) in zip(ensemble.blocks(), parts):
-                    rows.dot(g, ag_b)
+                if conjugate and d is not None and g_prev is not None:  # PR+, see the docstring
+                    den = float(g_prev.dot(g_prev))
+                    d = g + (max(0.0, float(g.dot(g - g_prev)) / den) if den > 0.0 else 0.0) * d
+                    d = d if g.dot(d) > 0.0 else g  # a restart unless a descent direction
+                else:
+                    d = g
+                g_prev = g
+                bv, bu, parts = 0.0, 0.0, zip(ad, ax, y, r, image) if lazy else stack_block
+                for (_, rows), (ad_b, ax_b, y_b, r_b, image_b) in zip(ensemble.blocks(), parts):
+                    rows.dot(d, ad_b)
                     if lazy:  # a snapshot's block: its two partials
                         bv += residual_block(rows, ax_b, gamma_next, y_b, r_b, image_b)
-                        bu += rows.T.dot(gamma_next * gamma_next * ag_b)
+                        bu += rows.T.dot(gamma_next * gamma_next * ad_b)
                 if line_search:
-                    np.multiply(gamma, ag, image)
-                    mu_xi = _step(g, image_flat, mp)
-                xi_next = _finite(xi - mu_xi * g, zeros_n, k)
-                np.subtract(ax, np.multiply(mu_xi, ag, ag), ax)
+                    np.multiply(gamma, ad, image)
+                    mu_xi = _step(g, d, image_flat, mp)
+                xi_next = _finite(xi - mu_xi * d, zeros_n, k)
+                np.subtract(ax, np.multiply(mu_xi, ad, ad), ax)
                 np.subtract(np.multiply(gamma_next, ax, r), y, r)
                 if lazy:
                     back = bv - mu_xi * bu
@@ -285,7 +307,7 @@ def _descend(state: SolverState, config: SolverConfig, ensemble, y, fixed_steps,
                     continue
             if stop is not None:
                 return stop, SolverState(xi, gamma, k, f, mu_xi, mu_gamma,
-                                         GradientPair(g, grad_gamma, h, f, ax))
+                                         GradientPair(g, grad_gamma, h, f, ax), d, g_prev)
             record(k, f, mu_xi, mu_gamma, xi, gamma)
 
 
@@ -294,7 +316,7 @@ def iterate(state: SolverState, config: SolverConfig, ensemble, y,
     """Apply one descent update, the loop of ``solve`` run for one step, and
     return a new state that carries the steps taken and its own evaluation;
     ``state`` is never written. Each call checks ``y`` (finite entries
-    included) and the shapes of the state and its carried evaluation.
+    included) and the shapes of the state, its carried evaluation and PR+ memory.
 
     Line-search mode takes the exact block steps; fixed mode needs the step
     pair (mu_xi, mu_gamma) in ``fixed_steps``.
@@ -309,8 +331,10 @@ def iterate(state: SolverState, config: SolverConfig, ensemble, y,
     grads = GradientPair(check_array(grads.grad_xi, (n,), "carried grad_xi"), grads.grad_gamma,
                          check_array(grads.grad_gamma_projected, (m,), "carried P grad_gamma"),
                          grads.objective, check_array(grads.ax, (p, m), "carried A xi"))
-    return _descend(replace(state, xi=xi, gamma=gamma, evaluation=grads), config, ensemble, y,
-                    fixed_steps, -math.inf, state.iteration + 1)[1]
+    memory = {name: v if v is None else check_array(v, (n,), f"carried {name}") for name, v in
+              (("direction", state.direction), ("direction_grad", state.direction_grad))}
+    return _descend(replace(state, xi=xi, gamma=gamma, evaluation=grads, **memory), config,
+                    ensemble, y, fixed_steps, -math.inf, state.iteration + 1)[1]
 
 
 @dataclass

@@ -193,6 +193,25 @@ def test_iterate_checks_the_shapes_of_a_carried_state(monkeypatch, field, name, 
 
 
 @pytest.mark.parametrize("cached", [True, False], ids=["cached", "lazy"])
+@pytest.mark.parametrize("field", ["direction", "direction_grad"])
+def test_iterate_checks_the_shapes_of_the_carried_conjugate_memory(monkeypatch, field, cached):
+    if not cached:
+        monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 0)
+    inst = draw_instance(16, 4, 8, 0.3, seed=1)
+    assert (inst.ensemble.stacked() is not None) == cached
+    config = SolverConfig(rho=0.3, conjugate=True)
+    state = iterate(_carried_start(inst), config, inst.ensemble, inst.y)
+    setattr(state, field, getattr(state, field)[:3])
+    with pytest.raises(DimensionError, match=f"^carried {field} must have shape"):
+        iterate(state, config, inst.ensemble, inst.y)
+
+
+def test_conjugate_directions_with_a_fixed_step_are_parameter_error():
+    with pytest.raises(ParameterError, match="conjugate"):
+        SolverConfig(step_mode=FIXED, mu=1e-3, conjugate=True)
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "lazy"])
 @pytest.mark.parametrize("mode", [LINE_SEARCH, FIXED])
 def test_solve_checks_the_snapshots_for_finite_entries_once(monkeypatch, mode, cached):
     if not cached:

@@ -353,7 +353,7 @@ def test_color_demo_matches_per_channel_solves(tmp_path):
     img = _write_test_image(str(path), side=8, channels=3, seed=3)
     m, p, rho, seed, tol = 8, 16, 0.5, 4, 1e-7
     report = run_imaging_demo(str(path), m=m, p=p, rho=rho, seed=seed, tol=tol)
-    config = SolverConfig(rho=rho, objective_tolerance=tol, record_trace=False)
+    config = SolverConfig(rho=rho, objective_tolerance=tol, record_trace=False, conjugate=True)
     for ci, channel in enumerate(report.channels):
         inst = build_instance(img[ci].ravel(), draw_gains(m, rho, seed), rho, p, seed)
         result = solve(inst.ensemble, inst.y, config)

@@ -2,6 +2,7 @@ import copy
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -20,6 +21,15 @@ from blindcal.solver import (CONVERGED, FIXED, LINE_SEARCH, MAX_ITERATIONS,
                              STAGNATION_RTOL, STAGNATION_WINDOW, UNDERDETERMINED, SolverConfig,
                              SolverState, contraction_diagnostics, default_kappa,
                              exact_line_search, initialise, iterate, solve)
+
+
+# line search with Polak-Ribiere+ signal directions, parametrized as a third "mode"
+CONJUGATE = "line_search-conjugate"
+
+
+def mode_config(mode, **kwargs):
+    return SolverConfig(step_mode=FIXED if mode == FIXED else LINE_SEARCH,
+                        conjugate=mode == CONJUGATE, **kwargs)
 
 
 def make_instance(n=8, m=6, p=4, rho=0.3, seed=0):
@@ -504,6 +514,65 @@ def reference_solve(ensemble, y, config):
                 xi=xi, gamma=gamma)
 
 
+def reference_conjugate_solve(ensemble, y, config):
+    """``reference_solve`` with Polak-Ribiere+ signal directions, on the stacked
+    rows: d = g + beta d_prev, beta = max(0, <g, g - g_prev> / ||g_prev||^2) or 0
+    for a zero g_prev, restarted to d = g when <g, d> <= 0; A d replaces A g, and
+    the signal step is mp <g, d> / ||gamma * A d||^2. Also counts the restarts."""
+    m, p = ensemble.m, ensemble.p
+    mp = m * p
+    rows = np.concatenate(list(ensemble.iter_matrices()))
+    xi, gamma = initialise(ensemble, y)
+    ax = rows.dot(xi).reshape(p, m)
+    weights = np.full(p, 1.0 / mp)
+
+    def evaluate(ax, gamma):
+        r = gamma * ax - y
+        g = (1.0 / mp) * (gamma * r).reshape(-1).dot(rows)
+        grad_gamma = weights.dot(r * ax)
+        f = float(r.reshape(-1).dot(r.reshape(-1))) / (2.0 * mp)
+        return f, g, grad_gamma - sum(grad_gamma.tolist()) / m
+
+    def step(gradient, direction, image):
+        den = float(image.reshape(-1).dot(image.reshape(-1)))
+        return mp * float(gradient.dot(direction)) / den if den > 0.0 else 0.0
+
+    f, g, h = evaluate(ax, gamma)
+    objectives, mus, recent, k, d, g_prev, restarts = [f], [0.0], [f], 0, None, None, 0
+    stop = CONVERGED if f < config.objective_tolerance else None
+    while stop is None:
+        if k >= config.max_iterations:
+            stop = MAX_ITERATIONS
+            break
+        if len(recent) > STAGNATION_WINDOW and (
+                recent[0] - f < STAGNATION_RTOL * max(recent[0], 1e-300)):
+            stop = "stagnated"
+            break
+        previous = f
+        if d is None:
+            d = g
+        else:
+            den = float(g_prev.dot(g_prev))
+            d = g + (max(0.0, float(g.dot(g - g_prev)) / den) if den > 0.0 else 0.0) * d
+            if g.dot(d) <= 0.0:
+                d, restarts = g, restarts + 1
+        ad = rows.dot(d).reshape(p, m)
+        mu_xi, mu_gamma = step(g, d, gamma * ad), step(h, h, ax * h)
+        gamma = project_C_rho(gamma - mu_gamma * h, config.rho)
+        xi = xi - mu_xi * d
+        ax = ax - mu_xi * ad
+        g_prev = g
+        f, g, h = evaluate(ax, gamma)
+        k += 1
+        objectives.append(f)
+        mus.append(mu_xi)
+        recent = (recent + [f])[-(STAGNATION_WINDOW + 1):]
+        if previous < config.objective_tolerance:
+            stop = CONVERGED
+    return dict(stop=stop, iterations=k, objectives=objectives, mu_xi=mus,
+                xi=xi, gamma=gamma, restarts=restarts)
+
+
 def trajectory_instance(monkeypatch, lazy):
     if lazy:
         monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 0)
@@ -540,6 +609,56 @@ def test_line_search_solve_matches_reference(monkeypatch, lazy):
     ref = reference_solve(inst.ensemble, inst.y, config)
     assert result.stop_reason == CONVERGED
     assert_same_trajectory(result, ref, rtol=1e-10)
+
+
+@pytest.mark.parametrize("lazy, rho, seed, restarts", [
+    pytest.param(False, 0.3, 90, 0, id="cached"), pytest.param(True, 0.3, 90, 0, id="lazy"),
+    # gains up to 99% off: one PR+ direction on this path is not a descent direction (cached
+    # only: near the stop the lazy recurrence's rounding reaches 3e-9 of f)
+    pytest.param(False, 0.99, 1, 1, id="cached-restart")])
+def test_conjugate_solve_matches_reference(monkeypatch, lazy, rho, seed, restarts):
+    if lazy:
+        monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 0)
+    inst = draw_instance(12, 6, 6, rho, seed)
+    assert (inst.ensemble.stacked() is None) == lazy
+    config = mode_config(CONJUGATE, rho=rho, objective_tolerance=1e-7)
+    result = solve(inst.ensemble, inst.y, config)
+    ref = reference_conjugate_solve(inst.ensemble, inst.y, config)
+    assert result.stop_reason == CONVERGED and ref["restarts"] == restarts
+    # fewer steps than plain line search on the same instance
+    plain = solve(inst.ensemble, inst.y, replace(config, conjugate=False))
+    assert result.iterations < plain.iterations
+    assert_same_trajectory(result, ref, rtol=1e-10)
+
+
+def test_conjugate_step_restarts_unless_a_descent_direction():
+    inst = draw_instance(12, 6, 6, 0.3, seed=90)
+    config = mode_config(CONJUGATE, rho=0.3)
+    xi, gamma = initialise(inst.ensemble, inst.y)
+    grads = gradients(inst.ensemble, inst.y, (xi, gamma))
+    g = grads.grad_xi
+    start = SolverState(xi, gamma, 0, grads.objective, evaluation=grads)
+    steepest = iterate(start, config, inst.ensemble, inst.y)
+    np.testing.assert_array_equal(steepest.direction, g)
+    np.testing.assert_array_equal(steepest.direction_grad, g)
+
+    def step(direction, direction_grad):
+        return iterate(replace(start, direction=direction, direction_grad=direction_grad),
+                       config, inst.ensemble, inst.y)
+
+    # beta = <g, g - g/2> / ||g/2||^2 = 2: d = g - 2g = -g, an ascent direction, restarts
+    # to g; a zero g_prev takes beta = 0; either way the step is the steepest one, bit
+    # for bit
+    for after in (step(-g, 0.5 * g), step(-g, np.zeros_like(g))):
+        np.testing.assert_array_equal(after.direction, g)
+        np.testing.assert_array_equal(after.xi, steepest.xi)
+        assert after.mu_xi == steepest.mu_xi
+    # a descent direction is kept: d = g + 2 e, with <g, d> > 0
+    e = np.random.default_rng(0).standard_normal(g.size)
+    e -= (e.dot(g) / g.dot(g)) * g
+    kept = step(e, 0.5 * g)
+    np.testing.assert_allclose(kept.direction, g + 2.0 * e, rtol=1e-12)
+    assert not np.allclose(kept.xi, steepest.xi)
 
 
 def test_lazy_solve_matches_cached(monkeypatch):
@@ -593,11 +712,10 @@ def test_lazy_solve_regenerates_two_passes_per_iteration(monkeypatch):
 
 
 @pytest.mark.parametrize("lazy", [False, True], ids=["cached", "lazy"])
-@pytest.mark.parametrize("mode", [LINE_SEARCH, FIXED])
+@pytest.mark.parametrize("mode", [LINE_SEARCH, FIXED, CONJUGATE])
 def test_solve_counts_operator_passes(monkeypatch, lazy, mode):
     inst = trajectory_instance(monkeypatch, lazy)
-    config = SolverConfig(step_mode=mode, mu=2e-3, rho=0.3,
-                          objective_tolerance=1e-30, max_iterations=6)
+    config = mode_config(mode, mu=2e-3, rho=0.3, objective_tolerance=1e-30, max_iterations=6)
     before = inst.ensemble.operator_passes
     result = solve(inst.ensemble, inst.y, config)
     k = result.iterations
@@ -675,7 +793,7 @@ def test_iterate_evaluates_a_bare_state_once(mode):
     assert cost_b == cost_a + 1
 
 
-@pytest.mark.parametrize("step_mode", [LINE_SEARCH, FIXED])
+@pytest.mark.parametrize("step_mode", [LINE_SEARCH, FIXED, CONJUGATE])
 def test_lazy_step_regenerates_one_pass_per_iteration(monkeypatch, step_mode):
     inst = trajectory_instance(monkeypatch, lazy=True)
     draws = []
@@ -686,8 +804,8 @@ def test_lazy_step_regenerates_one_pass_per_iteration(monkeypatch, step_mode):
         return draw(self, l)
 
     monkeypatch.setattr(SensingEnsemble, "_draw", counting_draw)
-    config = SolverConfig(step_mode=step_mode, mu=2e-3, rho=0.3,
-                          objective_tolerance=1e-30, max_iterations=5)
+    config = mode_config(step_mode, mu=2e-3, rho=0.3, objective_tolerance=1e-30,
+                         max_iterations=5)
     result = solve(inst.ensemble, inst.y, config)
     k, p = result.iterations, inst.ensemble.p
     assert k == 5
@@ -765,13 +883,15 @@ def test_lazy_step_reads_no_block_after_the_sweep_moved_on(monkeypatch, mode):
                  id="-".join((mode, "lazy" if lazy else "cached") + extra))
     for mode in (LINE_SEARCH, FIXED) for lazy in (False, True)
     for rho, project, extra in ((0.3, True, ()), (0.3, False, ("unprojected",)),
-                                (0.0, True, ("rho0",)))])
+                                (0.0, True, ("rho0",)))] + [
+    pytest.param(CONJUGATE, lazy, 0.3, True, id=CONJUGATE + ("-lazy" if lazy else "-cached"))
+    for lazy in (False, True)])
 def test_solve_is_a_loop_of_iterate(monkeypatch, lazy, mode, rho, project):
     # 41 records of n + m = 18 cells: 5 chunks of 7 records and one of 6
     monkeypatch.setattr("blindcal.solver.TRACE_CHUNK_CELLS", 7 * 18)
     inst = trajectory_instance(monkeypatch, lazy)
-    config = SolverConfig(step_mode=mode, mu=2e-3, rho=rho, objective_tolerance=1e-30,
-                          max_iterations=40, apply_C_rho_projection=project)
+    config = mode_config(mode, mu=2e-3, rho=rho, objective_tolerance=1e-30, max_iterations=40,
+                         apply_C_rho_projection=project)
     result = solve(inst.ensemble, inst.y, config, truth=inst.truth)
     # the same descent by hand, through the public step
     before = inst.ensemble.operator_passes
@@ -795,23 +915,23 @@ def test_solve_is_a_loop_of_iterate(monkeypatch, lazy, mode, rho, project):
 
 
 @pytest.mark.parametrize("lazy", [False, True], ids=["cached", "lazy"])
-@pytest.mark.parametrize("mode", [LINE_SEARCH, FIXED])
+@pytest.mark.parametrize("mode", [LINE_SEARCH, FIXED, CONJUGATE])
 @pytest.mark.parametrize("carried", [True, False], ids=["carried", "bare"])
 def test_iterate_leaves_its_argument_untouched(monkeypatch, lazy, mode, carried):
     inst = trajectory_instance(monkeypatch, lazy)
-    config = SolverConfig(step_mode=mode, mu=2e-3, rho=0.3)
+    config = mode_config(mode, mu=2e-3, rho=0.3)
     xi, gamma = initialise(inst.ensemble, inst.y)
     fixed = (2e-3, 2e-3 * inst.ensemble.m / float(xi @ xi)) if mode == FIXED else None
     # one step in, so both steps are nonzero and A xi is a step's work array
     state = iterate(state_at(inst.ensemble, inst.y, xi, gamma), config, inst.ensemble, inst.y,
                     fixed)
-    if not carried:
-        state = SolverState(state.xi, state.gamma, state.iteration, state.objective,
-                            state.mu_xi, state.mu_gamma)
+    if not carried:  # the evaluation dropped, the PR+ memory kept
+        state = replace(state, evaluation=None)
     before = copy.deepcopy(state)
     after = iterate(state, config, inst.ensemble, inst.y, fixed)
     assert after is not state and after.iteration == state.iteration + 1
-    for name in ("xi", "gamma", "iteration", "objective", "mu_xi", "mu_gamma"):
+    for name in ("xi", "gamma", "iteration", "objective", "mu_xi", "mu_gamma", "direction",
+                 "direction_grad"):
         np.testing.assert_array_equal(getattr(state, name), getattr(before, name))
     assert state.mu_xi > 0.0 and state.mu_gamma > 0.0
     if carried:
