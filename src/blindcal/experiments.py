@@ -20,7 +20,7 @@ from .errors import (BlindcalError, DimensionError, ParameterError, SingularityE
                      check_array, check_count, check_rho, check_size)
 from .geometry import draw_gain_perturbation
 from .model import GroundTruth, SensingEnsemble, sense
-from .objective import adjoint, gradients
+from .objective import gradients
 from .seeding import derive_seed
 from .solver import CONVERGED, FIXED, LINE_SEARCH, SolveResult, SolverConfig, initialise, solve
 
@@ -216,18 +216,17 @@ def least_squares_baseline(ensemble, y) -> np.ndarray:
     """Minimise f(xi, 1) by conjugate gradients on the normal equations.
 
     Solves G xi = b with G = (1/mp) sum_l A_l^T A_l and b = (1/mp) sum_l
-    A_l^T y_l, matrix free, down to relative residual 1e-10 within 10 n
-    iterations. Non-finite snapshots raise ParameterError; underdetermined
-    systems (mp < n), residual stagnation and an exhausted budget raise
-    SingularityError.
+    A_l^T y_l, ``initialise``'s backprojection, matrix free, down to relative
+    residual 1e-10 within 10 n iterations. An underdetermined system (mp < n)
+    raises SingularityError before the snapshots are checked; ``initialise``
+    then raises ParameterError on a non-finite snapshot. Residual stagnation
+    and an exhausted budget raise SingularityError.
     """
     n, m, p = ensemble.n, ensemble.m, ensemble.p
     rtol, max_iterations = 1e-10, 10 * n
-    scale = 1.0 / (m * p)
-    y = check_array(y, (p, m), "snapshots", finite=True)
     if m * p < n:
         raise SingularityError(f"normal equations underdetermined: mp = {m * p} < n = {n}")
-    b = scale * adjoint(ensemble, y)
+    b = initialise(ensemble, y)[0]
 
     zeros, ones = np.zeros((p, m)), np.ones(m)
 
@@ -417,7 +416,7 @@ def check_concentration(n: int, m: int, p: int, distribution: str, theta,
             deviations.append(0.0)
             continue
         acc = np.zeros((n, n))
-        for a in ensemble.iter_matrices():
+        for a in map(ensemble.matrix, range(ensemble.p)):
             acc += a.T @ (theta[:, None] * a)
         acc -= p * float(np.sum(theta)) * np.eye(n)
         acc /= m * p

@@ -98,12 +98,10 @@ def _clip(z: np.ndarray, lam: float, rho: float) -> np.ndarray:
     return np.minimum(e, rho, out=e)
 
 
-def _breakpoint_projection(z: np.ndarray, rho: float, zs: list | None = None) -> np.ndarray:
+def _breakpoint_projection(z: np.ndarray, rho: float, zs: list) -> np.ndarray:
     """The e = clip(z - lam, -rho, rho) summing to zero, lam found by the
-    merged slope scan of ``project_C_rho``. zs, the entries of z sorted into
-    a list, is sorted here if not given; the scan extends it by one sentinel."""
-    if zs is None:
-        zs = _sorted(z)
+    merged slope scan of ``project_C_rho``. zs, required, is ``_sorted(z)``,
+    the entries of z sorted into a list; the scan extends it by one sentinel."""
     m = z.size
     # a sentinel whose lower breakpoint is nan, never <= an upper one (+inf
     # would tie with the upper breakpoint of an infinite entry)

@@ -8,7 +8,7 @@ isotropic rows and ``d`` is a fixed vector of positive per-sensor gains.
 Every application of the operator is one loop over ``SensingEnsemble.blocks()``,
 which chooses between the cached stack and regeneration and counts one
 operator pass per call. ``matrix(l)`` makes the same choice for one
-snapshot; diagnostics reading one at a time through ``iter_matrices()``
+snapshot; diagnostics reading one at a time through ``matrix(l)``
 (``objective.hessian``, ``experiments.check_concentration``) count no pass.
 """
 
@@ -168,10 +168,6 @@ class SensingEnsemble:
             self._cache = stack
         return self._cache
 
-    def iter_matrices(self) -> Iterator[np.ndarray]:
-        for l in range(self.p):
-            yield self.matrix(l)
-
     def blocks(self) -> Iterable[tuple[slice, np.ndarray]]:
         """The operator's rows as (snapshot slice, (k*m, n) matrix) blocks.
 
@@ -274,11 +270,11 @@ class GroundTruth:
         m = self.d.size
         if np.any(self.d <= 0.0):
             raise ParameterError("gains must be strictly positive")
-        if abs(float(np.sum(self.d)) - m) > 1e-9 * m:
+        total = float(np.sum(self.d))
+        if abs(total - m) > 1e-9 * m:
             raise ParameterError("gains must sum to m (scaled-simplex representative)")
         if float(np.max(np.abs(self.d - 1.0))) > self.rho + 1e-12:
             raise ParameterError("max gain deviation exceeds rho")
-        total = float(np.sum(self.d))
         for name, value in (("x_star", (total / m) * self.x), ("d_star", (m / total) * self.d)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)

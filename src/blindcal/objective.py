@@ -115,18 +115,13 @@ def hessian(ensemble, y, point) -> np.ndarray:
     h_xg = np.zeros((n, m))
     h_gg_diag = np.zeros(m)
     gamma_sq = gamma ** 2
-    for l, a in enumerate(ensemble.iter_matrices()):
+    for a, y_l in zip(map(ensemble.matrix, range(p)), y):
         ax = a @ xi
         h_xx += a.T @ (gamma_sq[:, None] * a)
-        h_xg += a.T * (2.0 * gamma * ax - y[l])[None, :]
+        h_xg += a.T * (2.0 * gamma * ax - y_l)[None, :]
         h_gg_diag += ax ** 2
     scale = 1.0 / (m * p)
-    out = np.empty((n + m, n + m))
-    out[:n, :n] = scale * h_xx
-    out[:n, n:] = scale * h_xg
-    out[n:, :n] = scale * h_xg.T
-    out[n:, n:] = np.diag(scale * h_gg_diag)
-    return out
+    return np.block([[scale * h_xx, scale * h_xg], [scale * h_xg.T, np.diag(scale * h_gg_diag)]])
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +149,6 @@ def expected_hessian(point, truth: GroundTruth) -> np.ndarray:
     xs = truth.x_star
     ds = truth.d_star
     n, m = xi.size, gamma.size
-    out = np.empty((n + m, n + m))
-    out[:n, :n] = (float(gamma @ gamma) / m) * np.eye(n)
     cross = (2.0 * np.outer(xi, gamma) - np.outer(xs, ds)) / m
-    out[:n, n:] = cross
-    out[n:, :n] = cross.T
-    out[n:, n:] = (float(xi @ xi) / m) * np.eye(m)
-    return out
+    return np.block([[(float(gamma @ gamma) / m) * np.eye(n), cross],
+                     [cross.T, (float(xi @ xi) / m) * np.eye(m)]])

@@ -9,8 +9,9 @@ from hypothesis.extra.numpy import arrays
 
 from blindcal import geometry
 from blindcal.errors import DimensionError, ParameterError
-from blindcal.geometry import (_breakpoint_projection, delta, delta_F, draw_gain_perturbation,
-                               in_neighbourhood, project_C_rho, project_zero_sum)
+from blindcal.geometry import (_breakpoint_projection, _sorted, delta, delta_F,
+                               draw_gain_perturbation, in_neighbourhood, project_C_rho,
+                               project_zero_sum)
 from blindcal.model import GroundTruth
 from blindcal.objective import expected_objective
 
@@ -151,7 +152,8 @@ def test_projection_fast_path_matches_breakpoint_scan(u, rho, shift, spread):
     # larger spreads clip some coordinates and take the breakpoint scan
     z = shift + spread * rho * u
     out = project_C_rho(1.0 + z, rho)
-    np.testing.assert_allclose(out, 1.0 + _breakpoint_projection(z, rho), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, 1.0 + _breakpoint_projection(z, rho, _sorted(z)),
+                               rtol=0, atol=1e-12)
     assert abs(out.sum() - u.size) <= 1e-12 * u.size
     assert np.max(np.abs(out - 1.0)) <= rho + 1e-12
 
@@ -213,12 +215,12 @@ def reference_breakpoint_projection(z, rho):
 
 
 def scan_with_clip_count(z, rho):
-    """_breakpoint_projection(z, rho) and how often it evaluated the clip:
+    """_breakpoint_projection of z and how often it evaluated the clip:
     once without the bisection fallback, more often with it."""
     calls = []
     clip = geometry._clip
     with mock.patch.object(geometry, "_clip", lambda *args: calls.append(1) or clip(*args)):
-        e = _breakpoint_projection(z, rho)
+        e = _breakpoint_projection(z, rho, _sorted(z))
     return e, len(calls)
 
 
@@ -279,7 +281,7 @@ def clipped_inputs(draw):
 @given(clipped_inputs())
 def test_merged_scan_gives_the_argsort_scan_bits(inputs):
     z, rho = np.array(inputs[0]), inputs[1]
-    e, ref = _breakpoint_projection(z, rho), reference_slope_scan(z, rho)
+    e, ref = _breakpoint_projection(z, rho, _sorted(z)), reference_slope_scan(z, rho)
     np.testing.assert_array_equal(e, ref)
     np.testing.assert_array_equal(np.signbit(e), np.signbit(ref))
 

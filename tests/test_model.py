@@ -173,7 +173,6 @@ def test_snapshot_index_checked(monkeypatch, cached):
         monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 1)
     e = generate_ensemble(4, 3, 5, "gaussian", seed=2)
     assert (e.stacked() is not None) == cached
-    np.testing.assert_array_equal(e.matrix(4), list(e.iter_matrices())[4])
     for l in (-1, 5):
         with pytest.raises(DimensionError):
             e.matrix(l)

@@ -239,6 +239,37 @@ def test_lazy_ensemble_matches_cached(monkeypatch):
     np.testing.assert_allclose(hessian(lazy, y, (xi, gamma)), h_c, rtol=1e-12)
 
 
+def test_lazy_diagnostics_read_snapshots_without_an_operator_pass(monkeypatch):
+    # hessian and check_concentration read one snapshot at a time through
+    # matrix(l): no blocks() call, so no operator pass, and the bits they give
+    # under the default cache limit
+    from blindcal.experiments import check_concentration
+    truth, cached, y = make_instance(n=5, m=4, p=3, seed=91)
+    point = random_point(truth, 92)
+    assert cached.stacked() is not None
+    h_cached = hessian(cached, y, point)
+    conc_cached = check_concentration(6, 4, 5, "gaussian", "ones", trials=2, seed=3)
+    monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 1)
+    calls = {"blocks": 0, "matrix": 0}
+
+    def counting(name):
+        method = getattr(SensingEnsemble, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(SensingEnsemble, name, counting(name))
+    lazy = generate_ensemble(5, 4, 3, "gaussian", 91 + 2)
+    assert lazy.stacked() is None
+    np.testing.assert_array_equal(hessian(lazy, y, point), h_cached)
+    assert calls == {"blocks": 0, "matrix": 3}
+    assert check_concentration(6, 4, 5, "gaussian", "ones", trials=2, seed=3) == conc_cached
+    assert calls == {"blocks": 0, "matrix": 3 + 2 * 5}
+
+
 def test_expected_hessian_positive_definite_near_truth():
     truth, ensemble, y = make_instance(n=5, m=6, p=4, seed=81)
     H = expected_hessian((truth.x_star, truth.d_star), truth)

@@ -465,7 +465,7 @@ def reference_solve(ensemble, y, config):
     column sum a dot with p weights 1/(mp), and its mean a Python sum."""
     m, p = ensemble.m, ensemble.p
     mp = m * p
-    rows = np.concatenate(list(ensemble.iter_matrices()))
+    rows = np.concatenate([ensemble.matrix(l) for l in range(p)])
     xi, gamma = initialise(ensemble, y)
     ax = rows.dot(xi).reshape(p, m)
     weights = np.full(p, 1.0 / mp)
@@ -521,7 +521,7 @@ def reference_conjugate_solve(ensemble, y, config):
     the signal step is mp <g, d> / ||gamma * A d||^2. Also counts the restarts."""
     m, p = ensemble.m, ensemble.p
     mp = m * p
-    rows = np.concatenate(list(ensemble.iter_matrices()))
+    rows = np.concatenate([ensemble.matrix(l) for l in range(p)])
     xi, gamma = initialise(ensemble, y)
     ax = rows.dot(xi).reshape(p, m)
     weights = np.full(p, 1.0 / mp)
