@@ -10,6 +10,8 @@ which chooses between the cached stack and regeneration and counts one
 operator pass per call. ``matrix(l)`` makes the same choice for one
 snapshot; diagnostics reading one at a time through ``matrix(l)``
 (``objective.hessian``, ``experiments.check_concentration``) count no pass.
+A cached stack is drawn once, on every CPU: one contiguous part per thread
+of the module's pool, each snapshot written in place from its own seed.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ DISTRIBUTIONS = (GAUSSIAN, RADEMACHER)
 # Ensembles with at most this many cells (p*m*n) are kept stacked in memory;
 # larger ones are regenerated snapshot by snapshot so that grid experiments
 # never hold all p matrices at once, only one window drawn ahead. The stack
-# is filled in place: its peak is 8 bytes per cell plus one snapshot.
+# is filled in place: its peak is 8 bytes per cell plus a snapshot per CPU.
 CACHE_LIMIT_CELLS = 1 << 25
 
 # A cached stack is applied as two halves, one on the pool, once each half holds at
@@ -44,11 +46,21 @@ SPLIT_CELLS = 1 << 20
 
 @lru_cache
 def _pool(pid: int):
-    """Process pid's draw-ahead and split pool, one thread per CPU (a fork has its own)."""
+    """Process pid's pool for draws and the split, one thread per CPU (a fork has its own)."""
     from concurrent.futures import ThreadPoolExecutor
     affinity = getattr(os, "sched_getaffinity", None)
     threads = len(affinity(0)) if affinity else os.cpu_count() or 1
     return ThreadPoolExecutor(threads), threads
+
+
+def _on_pool(call, parts) -> list:
+    """[call(part) for part in parts]: the caller runs the first, the pool the rest."""
+    futures = [_pool(os.getpid())[0].submit(call, part) for part in parts[1:]]
+    try:
+        return [call(parts[0])] + [future.result() for future in futures]
+    finally:
+        for future in futures:
+            future.exception()
 
 
 def _split(rows: np.ndarray):
@@ -59,21 +71,14 @@ def _split(rows: np.ndarray):
     cut = 16 * (len(rows) // 32)
     if cut * rows.shape[1] < SPLIT_CELLS:
         return rows
-    first, second = slice(0, cut), slice(cut, None)
-
-    def run(call):  # (call(first), call(second)); both are done on return
-        future = _pool(os.getpid())[0].submit(call, second)
-        try:
-            return call(first), future.result()
-        finally:
-            future.exception()
+    halves = (slice(0, cut), slice(cut, None))
 
     def forward(v, out):
-        run(lambda sl: rows[sl].dot(v, out[sl]))
+        _on_pool(lambda sl: rows[sl].dot(v, out[sl]), halves)
         return out
 
     def adjoint(w):
-        return sum(run(lambda sl: w[sl].dot(rows[sl])))
+        return sum(_on_pool(lambda sl: w[sl].dot(rows[sl]), halves))
 
     return SimpleNamespace(dot=forward, T=SimpleNamespace(dot=adjoint))
 
@@ -93,8 +98,8 @@ class SensingEnsemble:
     Snapshot ``l`` is drawn from ``derive_seed(seed, [("snapshot", l)])``, so
     any single matrix can be regenerated independently and deterministically.
     Ensembles of at most ``CACHE_LIMIT_CELLS`` cells are cached stacked as a
-    C-contiguous (p, m, n) array on first use, allocated once and filled one
-    snapshot at a time, so building it never holds the operator twice.
+    C-contiguous (p, m, n) array on first use, filled in place on every CPU, so
+    building it never holds the operator twice; its bits do not depend on the CPU count.
     ``operator_passes`` counts the calls of ``blocks()``, one per application
     of the operator.
     """
@@ -151,20 +156,25 @@ class SensingEnsemble:
     def _generator(self, l: int) -> np.random.Generator:
         return np.random.default_rng(derive_seed(self.seed, [("snapshot", l)]))
 
-    def _fill(self, rng: np.random.Generator) -> np.ndarray:
+    def _fill(self, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
         # numpy releases the GIL while it fills, so this runs on pool threads
+        out = np.empty((self.m, self.n)) if out is None else out
         if self.distribution == GAUSSIAN:
-            return rng.standard_normal((self.m, self.n))
-        return 2.0 * rng.integers(0, 2, size=(self.m, self.n)) - 1.0
+            return rng.standard_normal(out=out)
+        np.multiply(rng.integers(0, 2, size=out.shape), 2.0, out=out)
+        return np.subtract(out, 1.0, out=out)
 
     def stacked(self) -> np.ndarray | None:
-        """All matrices as a (p, m, n) array, or None when too large to cache."""
+        """All matrices as a (p, m, n) array, or None when too large to cache. The first use
+        fills it in place, one contiguous part per pool thread, with every seed derived here."""
         if self._cache is None:
             if self.p * self.m * self.n > CACHE_LIMIT_CELLS:
                 return None
             stack = np.empty((self.p, self.m, self.n))
-            for l in range(self.p):
-                stack[l] = self._draw(l)
+            rngs = [self._generator(l) for l in range(self.p)]
+            size = -(-self.p // _pool(os.getpid())[1])
+            _on_pool(lambda k: list(map(self._fill, rngs[k:k + size], stack[k:k + size])),
+                     range(0, self.p, size))
             self._cache = stack
         return self._cache
 

@@ -100,10 +100,15 @@ def test_workers_match_serial():
     assert [t.error_db for t in serial.trials] == [t.error_db for t in parallel.trials]
 
 
-def test_lazy_workers_after_a_lazy_sweep_in_the_parent_match_serial(monkeypatch):
-    # forked workers inherit the parent's draw-ahead pool without its threads
+@pytest.mark.parametrize("build", ["lazy", "cached"])
+def test_lazy_workers_after_a_lazy_sweep_in_the_parent_match_serial(monkeypatch, build):
+    # forked workers inherit the parent's pool without its threads; a lazy sweep
+    # starts it, and so does a cached build, drawn on every CPU
+    if build == "cached":
+        generate_ensemble(12, 6, 16, "gaussian", 5).stacked()
     monkeypatch.setattr("blindcal.model.CACHE_LIMIT_CELLS", 0)
-    sense(generate_ensemble(12, 6, 16, "gaussian", 5), np.ones(12), np.ones(6))
+    if build == "lazy":
+        sense(generate_ensemble(12, 6, 16, "gaussian", 5), np.ones(12), np.ones(6))
     spec = PhaseGridSpec(n=12, m=6, p_values=(2, 16), rho_values=(0.01,),
                          trials_per_cell=2, base_seed=3, max_iterations=100)
     serial = run_phase_transition(spec, workers=1)
@@ -341,8 +346,8 @@ def test_color_demo_draws_its_ensemble_once(tmp_path, monkeypatch):
     path = tmp_path / "scene.ppm"
     _write_test_image(str(path), side=8, channels=3, seed=3)
     draws = []
-    original = SensingEnsemble._draw
-    monkeypatch.setattr(SensingEnsemble, "_draw",
+    original = SensingEnsemble._generator
+    monkeypatch.setattr(SensingEnsemble, "_generator",
                         lambda self, l: draws.append(l) or original(self, l))
     run_imaging_demo(str(path), m=8, p=16, rho=0.5, seed=4, tol=1e-7)
     assert draws == list(range(16))

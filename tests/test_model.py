@@ -506,3 +506,38 @@ def test_lazy_solve_above_the_split_size_matches_split_off(monkeypatch, threads)
     np.testing.assert_array_equal(on.x_hat, off.x_hat)
     np.testing.assert_array_equal(on.d_hat, off.d_hat)
     assert not isinstance(next(iter(cached.blocks()))[1], np.ndarray) and e._ahead == {}
+
+
+# ---------------------------------------------------------------------------
+# cached stacks drawn in one contiguous part per pool thread
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("p", [1, 2, 3, 32])
+def test_stack_split_over_the_pool_keeps_each_snapshots_draw(monkeypatch, distribution, p):
+    # the benchmark's span recorder wraps derive_seed and keeps one stack, so every
+    # seed is derived on the caller's thread, whatever thread fills its snapshot
+    caller, seeded, derive_seed = threading.get_ident(), [], model.derive_seed
+    monkeypatch.setattr("blindcal.model.derive_seed",
+                        lambda *args: seeded.append(threading.get_ident()) or derive_seed(*args))
+    e = generate_ensemble(9, 4, p, distribution, seed=13)
+    stack = e.stacked()
+    assert seeded == [caller] * p
+    for l in range(p):
+        np.testing.assert_array_equal(stack[l], e._fill(e._generator(l)))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stack_split_fills_one_part_per_pool_thread(monkeypatch, threads):
+    caller, fills, fill = threading.get_ident(), [], SensingEnsemble._fill
+    monkeypatch.setattr(SensingEnsemble, "_fill", lambda self, rng, out=None:
+                        fills.append(threading.get_ident()) or fill(self, rng, out))
+    with ThreadPoolExecutor(threads) as pool:
+        submitted, submit = [], pool.submit
+        monkeypatch.setattr(pool, "submit", lambda *a: submitted.append(a) or submit(*a))
+        pool_of(monkeypatch, pool, threads)
+        e = generate_ensemble(9, 4, 5, "gaussian", seed=13)
+        e.stacked()
+    # one CPU: the caller fills all 5 snapshots; two: 3 here and 2 on the pool
+    assert len(submitted) == threads - 1
+    assert fills.count(caller) == (5, 3)[threads - 1] and len(set(fills)) == threads
